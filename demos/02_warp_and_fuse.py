@@ -8,7 +8,7 @@ lambda = 0 the warp is the identity and the average degrades to a plain EMA.
 
 import numpy as np
 
-from mcma import (FeatureMap, FlowField, WarpConfig, ema_fuse, warp_features)
+from mcma import FeatureMap, FlowField, ema_fuse, warp_features
 
 # a tiny feature map with a single bright activation
 data = np.zeros((1, 6, 8), np.float32)
@@ -20,14 +20,14 @@ features = FeatureMap(data)
 flow = FlowField(np.full((6, 8), 2.0, np.float32),
                  np.zeros((6, 8), np.float32))
 
-warped = warp_features(features, flow, WarpConfig(lam=1.0))
+warped = warp_features(features, flow, lam=1.0)
 print("original activation at (row 2, col 2):")
 print(features.data[0].astype(int))
 print("\nwarped along backward flow u=+2 (activation moves to col 0):")
 print(warped.data[0].astype(int))
 
 # lambda scales the flow before sampling; lambda = 0 is a bit-exact identity
-identity = warp_features(features, flow, WarpConfig(lam=0.0))
+identity = warp_features(features, flow, lam=0.0)
 print("\nlambda = 0 reproduces the input bit-exactly:",
       np.array_equal(identity.data, features.data))
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from mcma import (PipelineConfig, SceneObject, SceneSpec, alpha_sweep,
                   evaluate_run, fp_rate, generate, model_spec_from_scene,
-                  report_csv, run_sequential)
+                  report_csv, run)
 
 spec = SceneSpec(width=256, height=192, num_classes=2, frames=30, seed=3,
                  label_noise_rate=0.02,
@@ -27,7 +27,7 @@ preds = {}
 for mode in ("baseline", "ema", "mcma"):
     cfg = PipelineConfig(alpha=0.1, lam=1.0, flow_scale=0.5, num_classes=2,
                          mode=mode)
-    preds[mode], _ = run_sequential(frames, cfg, model)
+    preds[mode], _ = run(frames, cfg, model)
 
 print("mIoU by motion subset:")
 print(report_csv(evaluate_run(preds, gts, flows, num_classes=2)))

@@ -121,8 +121,7 @@ def _flow_params(args) -> FlowParams:
                       pyramid_scale=args.flow_pyramid_scale,
                       window_size=args.flow_window,
                       iterations=args.flow_iterations,
-                      poly_n=args.poly_n, poly_sigma=args.poly_sigma,
-                      negate=args.flow_negate)
+                      poly_n=args.poly_n, poly_sigma=args.poly_sigma)
 
 
 def _add_flow_args(p):
@@ -132,8 +131,6 @@ def _add_flow_args(p):
     p.add_argument("--flow-iterations", type=int, default=3)
     p.add_argument("--poly-n", type=int, default=5)
     p.add_argument("--poly-sigma", type=float, default=1.1)
-    p.add_argument("--flow-negate", action="store_true",
-                   help="flip the flow sign convention (experimentation)")
 
 
 def _add_model_args(p):
@@ -161,7 +158,6 @@ def cmd_run(args) -> int:
                          num_classes=args.classes,
                          executor={"seq": "sequential",
                                    "par": "parallel"}[args.executor],
-                         model="feature-files" if args.features else "reference",
                          mode=args.mode)
     spec = _model_spec(args, args.frames)
     cfg.num_classes = spec.num_classes

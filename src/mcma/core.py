@@ -113,13 +113,17 @@ class FlowField:
 
 @dataclass(frozen=True)
 class SegmentationMask:
-    """Per-pixel class indices at full input resolution."""
+    """Per-pixel class indices 0..255 at full input resolution."""
 
     labels: np.ndarray
 
     def __post_init__(self):
         lab = np.ascontiguousarray(self.labels)
         if lab.dtype != np.uint8:
+            if not np.issubdtype(lab.dtype, np.integer):
+                raise ValueError("labels must have an integer dtype")
+            if lab.size and (lab.min() < 0 or lab.max() > 255):
+                raise ValueError("labels must be in 0..255")
             lab = lab.astype(np.uint8)
         if lab.ndim != 2:
             raise ValueError("labels must be 2-D")
@@ -139,14 +143,13 @@ FLOW_SCALES = (1.0, 0.5, 0.25)
 
 @dataclass
 class PipelineConfig:
-    """Run-level knobs: EMA weight, flow scaling, executor and model choice."""
+    """Run-level knobs: EMA weight, flow scaling, executor and mode."""
 
     alpha: float = 0.1
     lam: float = 2.0
     flow_scale: float = 1.0
     num_classes: int = 2
     executor: str = "sequential"
-    model: str = "reference"
     mode: str = "mcma"
 
     def __post_init__(self):
@@ -160,8 +163,6 @@ class PipelineConfig:
             raise ValueError("num_classes must be in [2, 256]")
         if self.executor not in ("sequential", "parallel"):
             raise ValueError("executor must be 'sequential' or 'parallel'")
-        if self.model not in ("reference", "feature-files"):
-            raise ValueError("model must be 'reference' or 'feature-files'")
         if self.mode not in ("baseline", "ema", "mcma"):
             raise ValueError("mode must be baseline, ema or mcma")
 

@@ -28,7 +28,7 @@ def _confusion_counts(pred, gt, num_classes: int):
     g = _labels(gt).astype(np.int64)
     if p.shape != g.shape:
         raise ValueError("mask dimensions must match")
-    if p.max() >= num_classes or g.max() >= num_classes:
+    if min(p.min(), g.min()) < 0 or max(p.max(), g.max()) >= num_classes:
         raise ValueError("label out of range")
     inter = np.zeros(num_classes, np.int64)
     union = np.zeros(num_classes, np.int64)
@@ -169,18 +169,3 @@ def report_csv(rows) -> str:
     for method, subset, value in rows:
         buf.write(f"{method},{subset},{value:.6f}\n")
     return buf.getvalue()
-
-
-def metrics_jsonl(preds_by_method, gts, flows, num_classes: int) -> str:
-    """Optional per-frame dump: one JSON object per labeled frame."""
-    import json
-
-    h, w = _labels(gts[0]).shape
-    lines = []
-    for i, gt in enumerate(gts):
-        entry = {"frame": i,
-                 "motion": motion_in_input_pixels(flows[i], h, w)}
-        for method, preds in preds_by_method.items():
-            entry[f"miou_{method}"] = miou(preds[i], gt, num_classes)[0]
-        lines.append(json.dumps(entry))
-    return "\n".join(lines) + "\n"

@@ -28,7 +28,6 @@ class FlowParams:
     iterations: int = 3
     poly_n: int = 5
     poly_sigma: float = 1.1
-    negate: bool = False  # experimentation hook: flip the sign convention
 
     def __post_init__(self):
         if self.pyramid_levels < 1:
@@ -240,6 +239,4 @@ def estimate_flow(prev: Frame, curr: Frame,
         exp_prev = polynomial_expansion(prev_l, params.poly_n, params.poly_sigma)[:5]
         u, v = _solve_level(exp_cur, exp_prev, u, v, params)
 
-    if params.negate:
-        u, v = -u, -v
     return FlowField(u.astype(np.float32), v.astype(np.float32))

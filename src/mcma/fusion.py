@@ -1,35 +1,14 @@
-"""Feature-space exponential moving average with motion correction.
+"""Feature-space exponential moving average.
 
-Per frame: estimate flow to the previous frame, warp the carried feature
-state into the current frame's geometry, blend it with the fresh encoder
-output and decode the blend. The state always holds pre-decoder features.
+The fused state always holds pre-decoder features; ``pipeline.Segmenter``
+warps it along the flow before each blend.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
-
 import numpy as np
 
-from .core import FeatureMap, Frame, PipelineConfig, SegmentationMask
-from .flow import resize_flow
-from .warping import WarpConfig, warp_features
-
-Encoder = Callable[[Frame], FeatureMap]
-Decoder = Callable[[FeatureMap], SegmentationMask]
-FlowEstimator = Callable[[Frame, Frame], "FlowField"]  # noqa: F821
-
-
-@dataclass
-class TemporalState:
-    state_features: FeatureMap
-    prev_frame: Frame
-    frame_index: int = 1
-
-    def __post_init__(self):
-        if self.frame_index < 1:
-            raise ValueError("frame_index must be >= 1 once initialized")
+from .core import FeatureMap
 
 
 def ema_fuse(curr: FeatureMap, warped_prev: FeatureMap,
@@ -43,32 +22,3 @@ def ema_fuse(curr: FeatureMap, warped_prev: FeatureMap,
         return curr
     a = np.float32(alpha)
     return FeatureMap(a * curr.data + (np.float32(1.0) - a) * warped_prev.data)
-
-
-def mcma_step(state: Optional[TemporalState], frame: Frame,
-              encoder: Encoder, decoder: Decoder,
-              flow_estimator: Optional[FlowEstimator],
-              cfg: PipelineConfig):
-    """One iteration of the inference loop; returns (new_state, mask).
-
-    The first frame initializes the state with its own encoder features, so
-    frame 0 always equals the single-frame baseline.
-    """
-    feats = encoder(frame)
-    if state is None:
-        fused = feats
-    elif cfg.mode == "baseline":
-        fused = feats
-    elif cfg.mode == "ema" or flow_estimator is None:
-        fused = ema_fuse(feats, state.state_features, cfg.alpha)
-    else:
-        if (frame.height, frame.width) != (state.prev_frame.height,
-                                           state.prev_frame.width):
-            raise ValueError("frame dimensions changed mid-sequence")
-        fl = flow_estimator(state.prev_frame, frame)
-        fl = resize_flow(fl, feats.height, feats.width)
-        warped = warp_features(state.state_features, fl, WarpConfig(cfg.lam))
-        fused = ema_fuse(feats, warped, cfg.alpha)
-    mask = decoder(fused)
-    index = 1 if state is None else state.frame_index + 1
-    return TemporalState(fused, frame, index), mask

@@ -1,38 +1,31 @@
-"""Sequence orchestration: sequential and parallel executors plus timing.
+"""Streaming segmentation: one recurrence per frame, plus timing.
 
-The parallel executor reproduces the two-way split of the inference loop:
-optical flow and the encoder forward pass of the same step run concurrently,
-everything downstream of the fused state stays strictly ordered. Both
-executors share the exact same math, so their masks are bit-identical.
+``Segmenter.push`` is the only place the recurrence runs: flow, encode,
+warp, fuse and decode for one frame. With an executor pool, optical flow and
+the encoder forward pass of the same frame run concurrently; everything
+downstream of the fused state stays strictly ordered, so both schedules give
+bit-identical masks.
 """
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import io
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from concurrent.futures import Executor, ThreadPoolExecutor
+from dataclasses import dataclass
+from typing import Callable, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from .core import FeatureMap, FlowField, Frame, PipelineConfig, SegmentationMask
 from .flow import FlowParams, downscale_frame, estimate_flow, resize_flow
-from .fusion import TemporalState, ema_fuse
+from .fusion import ema_fuse
 from .model import ModelSpec, decode, encode
-from .warping import WarpConfig, warp_features
+from .warping import warp_features
 
 STAGES = ("flow", "encode", "warp", "fuse", "decode")
-
-
-@dataclass
-class StageDelays:
-    """Test hook: extra sleep (seconds) charged inside each stage's timer."""
-    flow: float = 0.0
-    encode: float = 0.0
-    warp: float = 0.0
-    fuse: float = 0.0
-    decode: float = 0.0
 
 
 @dataclass
@@ -59,164 +52,125 @@ def _now_us() -> float:
     return time.perf_counter_ns() / 1000.0
 
 
-class _Stepper:
-    """Shared per-step stage functions; executors differ only in scheduling."""
+def _timed(fn, *args):
+    t0 = _now_us()
+    out = fn(*args)
+    return out, _now_us() - t0
+
+
+class Segmenter:
+    """Streaming MCMA: ``push`` one frame, get its mask and stage timings.
+
+    The state is the fused feature map of the previous frame and that
+    frame's copy on the flow grid. ``encoder`` (frame -> features) and
+    ``flow`` (previous, current flow-grid frames -> backward flow) replace
+    the model and the flow estimator; ``pool`` runs the flow stage beside
+    the encoder.
+
+    Degenerate settings are resolved once: alpha = 1 keeps no history and
+    runs as the per-frame baseline, and mcma with lambda = 0 runs as the
+    plain EMA, so neither computes flow that would be discarded.
+    """
 
     def __init__(self, cfg: PipelineConfig, model_spec: ModelSpec,
-                 flow_params: Optional[FlowParams],
-                 delays: Optional[StageDelays]):
+                 flow_params: Optional[FlowParams] = None, *,
+                 encoder: Optional[Callable[[Frame], FeatureMap]] = None,
+                 flow: Optional[Callable[[Frame, Frame], FlowField]] = None,
+                 pool: Optional[Executor] = None):
         self.cfg = cfg
-        self.model_spec = model_spec
-        self.flow_params = flow_params or FlowParams()
-        self.delays = delays or StageDelays()
-        self.warp_cfg = WarpConfig(cfg.lam)
+        params = flow_params or FlowParams()
+        self._encode = encoder or (lambda frame: encode(frame, model_spec))
+        self._flow = flow or (lambda prev, curr:
+                              estimate_flow(prev, curr, params))
+        self._decode = lambda fused: decode(fused, model_spec)
+        self._pool = pool
+        if cfg.alpha == 1.0:
+            self._mode = "baseline"
+        elif cfg.mode == "mcma" and cfg.lam == 0.0:
+            self._mode = "ema"
+        else:
+            self._mode = cfg.mode
+        self.state: Optional[FeatureMap] = None
+        self._prev_small: Optional[Frame] = None
+        self._size: Optional[tuple] = None
+        self._count = 0
 
-    def flow(self, prev: Frame, curr: Frame) -> Optional[FlowField]:
-        if self.delays.flow:
-            time.sleep(self.delays.flow)
-        if self.cfg.mode != "mcma":
-            return None
-        small_prev = downscale_frame(prev, self.cfg.flow_scale)
-        small_curr = downscale_frame(curr, self.cfg.flow_scale)
-        return estimate_flow(small_prev, small_curr, self.flow_params)
+    def push(self, frame: Frame):
+        """Segment the next frame; returns (mask, StageTiming).
 
-    def encode(self, frame: Frame) -> FeatureMap:
-        if self.delays.encode:
-            time.sleep(self.delays.encode)
-        return encode(frame, self.model_spec)
-
-    def warp(self, state: TemporalState, flow: Optional[FlowField],
-             feats: FeatureMap) -> FeatureMap:
-        if self.delays.warp:
-            time.sleep(self.delays.warp)
-        if self.cfg.mode != "mcma" or flow is None:
-            return state.state_features
-        flow = resize_flow(flow, feats.height, feats.width)
-        return warp_features(state.state_features, flow, self.warp_cfg)
-
-    def fuse(self, feats: FeatureMap, warped: FeatureMap) -> FeatureMap:
-        if self.delays.fuse:
-            time.sleep(self.delays.fuse)
-        if self.cfg.mode == "baseline":
-            return feats
-        return ema_fuse(feats, warped, self.cfg.alpha)
-
-    def decode(self, fused: FeatureMap) -> SegmentationMask:
-        if self.delays.decode:
-            time.sleep(self.delays.decode)
-        return decode(fused, self.model_spec)
-
-
-def _check_dims(frame: Frame, first: Frame, index: int) -> None:
-    if (frame.height, frame.width) != (first.height, first.width):
-        raise PipelineError(index, ValueError("frame dimensions changed"))
-
-
-def run_sequential(frames: Sequence[Frame], cfg: PipelineConfig,
-                   model_spec: ModelSpec,
-                   flow_params: Optional[FlowParams] = None,
-                   delays: Optional[StageDelays] = None):
-    """Run the loop one stage after another; returns (masks, timings)."""
-    frames = list(frames)
-    if not frames:
-        raise ValueError("need at least one frame")
-    step = _Stepper(cfg, model_spec, flow_params, delays)
-    masks: List[SegmentationMask] = []
-    timings: List[StageTiming] = []
-    state: Optional[TemporalState] = None
-
-    for j, frame in enumerate(frames):
+        Any failure is raised as PipelineError naming the frame's position
+        in the stream, and leaves the state as it was.
+        """
+        j = self._count
         try:
-            _check_dims(frame, frames[0], j)
-            t_start = _now_us()
-            flow_us = warp_us = fuse_us = 0.0
-            if state is None:
-                t0 = _now_us()
-                fused = step.encode(frame)
-                encode_us = _now_us() - t0
-            else:
-                t0 = _now_us()
-                flow = step.flow(state.prev_frame, frame)
-                flow_us = _now_us() - t0
-                t0 = _now_us()
-                feats = step.encode(frame)
-                encode_us = _now_us() - t0
-                t0 = _now_us()
-                warped = step.warp(state, flow, feats)
-                warp_us = _now_us() - t0
-                t0 = _now_us()
-                fused = step.fuse(feats, warped)
-                fuse_us = _now_us() - t0
-            t0 = _now_us()
-            mask = step.decode(fused)
-            decode_us = _now_us() - t0
-            total_us = _now_us() - t_start
-        except PipelineError:
-            raise
+            mask, timing = self._step(frame, j)
         except Exception as exc:
             raise PipelineError(j, exc) from exc
-        state = TemporalState(fused, frame, j + 1)
-        masks.append(mask)
-        timings.append(StageTiming(j, flow_us, encode_us, warp_us, fuse_us,
-                                   decode_us, total_us, "sequential",
-                                   cfg.flow_scale))
-    return masks, timings
+        self._count += 1
+        return mask, timing
+
+    def _flow_stage(self, frame: Frame):
+        small = downscale_frame(frame, self.cfg.flow_scale)
+        if self._prev_small is None:
+            return small, None
+        return small, self._flow(self._prev_small, small)
+
+    def _warp(self, state: FeatureMap, flow: FlowField) -> FeatureMap:
+        flow = resize_flow(flow, state.height, state.width)
+        return warp_features(state, flow, self.cfg.lam)
+
+    def _step(self, frame: Frame, j: int):
+        size = (frame.height, frame.width)
+        if self._size is not None and size != self._size:
+            raise ValueError("frame dimensions changed")
+        t_start = _now_us()
+        small = flow = None
+        flow_us = warp_us = fuse_us = 0.0
+        if self._mode != "mcma":
+            feats, encode_us = _timed(self._encode, frame)
+        elif self._pool is not None:
+            pending = self._pool.submit(_timed, self._flow_stage, frame)
+            try:
+                feats, encode_us = _timed(self._encode, frame)
+            finally:
+                (small, flow), flow_us = pending.result()
+        else:
+            (small, flow), flow_us = _timed(self._flow_stage, frame)
+            feats, encode_us = _timed(self._encode, frame)
+
+        if self.state is None or self._mode == "baseline":
+            fused = feats
+        else:
+            prior = self.state
+            if flow is not None:
+                prior, warp_us = _timed(self._warp, prior, flow)
+            fused, fuse_us = _timed(ema_fuse, feats, prior, self.cfg.alpha)
+        mask, decode_us = _timed(self._decode, fused)
+        total_us = _now_us() - t_start
+
+        self.state, self._prev_small, self._size = fused, small, size
+        executor = "sequential" if self._pool is None else "parallel"
+        return mask, StageTiming(j, flow_us, encode_us, warp_us, fuse_us,
+                                 decode_us, total_us, executor,
+                                 self.cfg.flow_scale)
 
 
-def run_parallel(frames: Sequence[Frame], cfg: PipelineConfig,
-                 model_spec: ModelSpec,
-                 flow_params: Optional[FlowParams] = None,
-                 delays: Optional[StageDelays] = None):
-    """Same loop, but flow and encode of each step execute concurrently.
-    Outputs are bit-identical to run_sequential."""
-    frames = list(frames)
-    if not frames:
-        raise ValueError("need at least one frame")
-    step = _Stepper(cfg, model_spec, flow_params, delays)
+def run(frames: Iterable[Frame], cfg: PipelineConfig, model_spec: ModelSpec,
+        flow_params: Optional[FlowParams] = None):
+    """Segment a clip on ``cfg.executor``; returns (masks, timings)."""
     masks: List[SegmentationMask] = []
     timings: List[StageTiming] = []
-    state: Optional[TemporalState] = None
-
-    def timed(fn, *args):
-        t0 = _now_us()
-        out = fn(*args)
-        return out, _now_us() - t0
-
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        for j, frame in enumerate(frames):
-            try:
-                _check_dims(frame, frames[0], j)
-                t_start = _now_us()
-                flow_us = warp_us = fuse_us = 0.0
-                if state is None:
-                    fused, encode_us = timed(step.encode, frame)
-                else:
-                    fut_flow = pool.submit(timed, step.flow,
-                                           state.prev_frame, frame)
-                    fut_enc = pool.submit(timed, step.encode, frame)
-                    flow, flow_us = fut_flow.result()
-                    feats, encode_us = fut_enc.result()
-                    warped, warp_us = timed(step.warp, state, flow, feats)
-                    fused, fuse_us = timed(step.fuse, feats, warped)
-                mask, decode_us = timed(step.decode, fused)
-                total_us = _now_us() - t_start
-            except PipelineError:
-                raise
-            except Exception as exc:
-                raise PipelineError(j, exc) from exc
-            state = TemporalState(fused, frame, j + 1)
+    parallel = cfg.executor == "parallel"
+    with (ThreadPoolExecutor(max_workers=1) if parallel
+          else contextlib.nullcontext()) as pool:
+        seg = Segmenter(cfg, model_spec, flow_params, pool=pool)
+        for frame in frames:
+            mask, timing = seg.push(frame)
             masks.append(mask)
-            timings.append(StageTiming(j, flow_us, encode_us, warp_us, fuse_us,
-                                       decode_us, total_us, "parallel",
-                                       cfg.flow_scale))
+            timings.append(timing)
+    if not masks:
+        raise ValueError("need at least one frame")
     return masks, timings
-
-
-def run(frames, cfg: PipelineConfig, model_spec: ModelSpec,
-        flow_params: Optional[FlowParams] = None,
-        delays: Optional[StageDelays] = None):
-    runner = run_parallel if cfg.executor == "parallel" else run_sequential
-    return runner(frames, cfg, model_spec, flow_params, delays)
 
 
 def benchmark_report(timings: Sequence[StageTiming]) -> str:
@@ -247,44 +201,41 @@ def alpha_sweep(frames: Sequence[Frame], gts, cfg: PipelineConfig,
     """mIoU of plain EMA vs MCMA over a grid of smoothing factors.
 
     Encoder features and flow fields depend only on the frames, so they are
-    computed once and the recursion is re-run per alpha. Returns rows of
+    computed once and replayed in order through a fresh Segmenter per alpha
+    and method. ``gts`` holds one mask per frame. Returns rows of
     (alpha, method, miou) aggregated over the whole sequence.
     """
     from .evaluation import _confusion_counts, _iou_from_counts
 
+    frames = list(frames)
+    if not frames:
+        raise ValueError("need at least one frame")
+    if len(gts) != len(frames):
+        raise ValueError(f"need one ground-truth mask per frame: got "
+                         f"{len(gts)} for {len(frames)} frames")
     if alphas is None:
         alphas = [round(0.1 + 0.05 * k, 2) for k in range(17)]
-    frames = list(frames)
-    step = _Stepper(cfg, model_spec, flow_params, None)
+    params = flow_params or FlowParams()
     feats = [encode(f, model_spec) for f in frames]
-    fh, fw = feats[0].height, feats[0].width
-    flows = [None]
-    for j in range(1, len(frames)):
-        small_prev = downscale_frame(frames[j - 1], cfg.flow_scale)
-        small_curr = downscale_frame(frames[j], cfg.flow_scale)
-        fl = estimate_flow(small_prev, small_curr, step.flow_params)
-        flows.append(resize_flow(fl, fh, fw))
+    small = [downscale_frame(f, cfg.flow_scale) for f in frames]
+    flows = [estimate_flow(a, b, params) for a, b in zip(small, small[1:])]
 
+    # the replayed sources ignore the frames they are given, so each push
+    # gets the flow-grid copy at flow scale 1, which is not downscaled again
     rows = []
     for alpha in alphas:
         for method in ("ema", "mcma"):
-            state = feats[0]
-            inter = None
-            union = None
-            for j, frame in enumerate(frames):
-                if j == 0:
-                    fused = feats[0]
-                else:
-                    prior = state
-                    if method == "mcma":
-                        prior = warp_features(state, flows[j], step.warp_cfg)
-                    fused = ema_fuse(feats[j], prior, alpha)
-                state = fused
-                mask = decode(fused, model_spec)
-                it, un = _confusion_counts(mask, gts[j],
-                                           model_spec.num_classes)
-                inter = it if inter is None else inter + it
-                union = un if union is None else union + un
+            replay_feats, replay_flows = iter(feats), iter(flows)
+            seg = Segmenter(dataclasses.replace(cfg, alpha=alpha, mode=method,
+                                                flow_scale=1.0),
+                            model_spec,
+                            encoder=lambda _: next(replay_feats),
+                            flow=lambda prev, curr: next(replay_flows))
+            inter = union = 0
+            for frame, gt in zip(small, gts):
+                mask, _ = seg.push(frame)
+                it, un = _confusion_counts(mask, gt, model_spec.num_classes)
+                inter, union = inter + it, union + un
             rows.append((alpha, method, _iou_from_counts(inter, union)[0]))
     return rows
 

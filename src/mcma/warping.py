@@ -8,20 +8,9 @@ warped values are always convex combinations of stored values and zero flow
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import FeatureMap, FlowField
-
-
-@dataclass
-class WarpConfig:
-    lam: float = 2.0
-
-    def __post_init__(self):
-        if self.lam < 0.0:
-            raise ValueError("lambda must be nonnegative")
 
 
 def _gather(data: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -43,21 +32,16 @@ def _gather(data: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return top + fy * (bot - top)
 
 
-def bilinear_sample(features: FeatureMap, x: float, y: float) -> np.ndarray:
-    """Interpolated feature vector at a single (column, row) position."""
-    out = _gather(features.data, np.array([float(x)]), np.array([float(y)]))
-    return out[:, 0]
-
-
 def warp_features(features: FeatureMap, flow: FlowField,
-                  cfg: WarpConfig | None = None) -> FeatureMap:
-    if cfg is None:
-        cfg = WarpConfig()
+                  lam: float) -> FeatureMap:
+    """Sample the features at p + lam * flow(p) for every pixel p."""
+    if lam < 0.0:
+        raise ValueError("lambda must be nonnegative")
     if (flow.height, flow.width) != (features.height, features.width):
         raise ValueError("flow dimensions must match feature dimensions")
     h, w = features.height, features.width
     yy, xx = np.meshgrid(np.arange(h, dtype=np.float64),
                          np.arange(w, dtype=np.float64), indexing="ij")
-    x = xx + cfg.lam * flow.u.astype(np.float64)
-    y = yy + cfg.lam * flow.v.astype(np.float64)
+    x = xx + lam * flow.u.astype(np.float64)
+    y = yy + lam * flow.v.astype(np.float64)
     return FeatureMap(_gather(features.data, x, y))

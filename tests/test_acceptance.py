@@ -5,16 +5,16 @@ so the suite can double as a checklist (`pytest -s tests/test_acceptance.py`).
 """
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy import stats
 
 from mcma import (FeatureMap, FlowField, Frame, ModelSpec, PipelineConfig,
-                  Prototype, SceneObject, SceneSpec, StageDelays, WarpConfig,
-                  alpha_sweep, ema_fuse, estimate_flow, evaluate_run, fp_rate,
-                  generate, miou, model_spec_from_scene,
-                  motion_quantile_partition, resize_flow, run_parallel,
-                  run_sequential, warp_features)
+                  Prototype, SceneObject, SceneSpec, Segmenter, alpha_sweep,
+                  ema_fuse, estimate_flow, evaluate_run, fp_rate, generate,
+                  miou, model_spec_from_scene, motion_quantile_partition,
+                  resize_flow, run, warp_features)
 from mcma.flow import downscale_frame
 from mcma.model import decode, encode
 
@@ -49,7 +49,7 @@ def test_criterion_1_degeneracy_suite():
     def masks(alpha, mode, lam=2.0):
         cfg = PipelineConfig(alpha=alpha, lam=lam, flow_scale=0.25,
                              num_classes=2, mode=mode)
-        return run_sequential(frames, cfg, mspec)[0]
+        return run(frames, cfg, mspec)[0]
 
     # alpha = 1 keeps no history: identical to per-frame baseline
     a1 = masks_equal(masks(1.0, "mcma"), masks(1.0, "baseline"))
@@ -66,8 +66,8 @@ def test_criterion_1_degeneracy_suite():
                            mode="mcma")
     cfg_e = PipelineConfig(alpha=0.2, flow_scale=0.25, num_classes=2,
                            mode="ema")
-    st = masks_equal(run_sequential(sframes, cfg_m, smspec)[0],
-                     run_sequential(sframes, cfg_e, smspec)[0])
+    st = masks_equal(run(sframes, cfg_m, smspec)[0],
+                     run(sframes, cfg_e, smspec)[0])
 
     elapsed = time.monotonic() - start
     report("1 (degenerate settings reduce to baseline/EMA, bit-exact, "
@@ -87,14 +87,14 @@ def test_criterion_2_warp_invariants():
 
         # zero flow is a bit-exact identity
         zero = FlowField.zeros(h, w)
-        ok &= np.array_equal(warp_features(fm, zero).data, data)
+        ok &= np.array_equal(warp_features(fm, zero, 2.0).data, data)
         cases += 1
 
         # lambda = 0 is a bit-exact identity regardless of the flow
         wild = FlowField(rng.normal(0, 4, (h, w)).astype(np.float32),
                          rng.normal(0, 4, (h, w)).astype(np.float32))
         ok &= np.array_equal(
-            warp_features(fm, wild, WarpConfig(lam=0.0)).data, data)
+            warp_features(fm, wild, 0.0).data, data)
         cases += 1
 
         # constant integer flow gathers exactly, with border clamp
@@ -105,7 +105,7 @@ def test_criterion_2_warp_invariants():
         sx = np.clip(np.arange(w) + dx, 0, w - 1)
         sy = np.clip(np.arange(h) + dy, 0, h - 1)
         expected = data[:, sy[:, None], sx[None, :]]
-        ok &= np.array_equal(warp_features(fm, const, WarpConfig(1.0)).data,
+        ok &= np.array_equal(warp_features(fm, const, 1.0).data,
                              expected)
         cases += 1
 
@@ -114,10 +114,10 @@ def test_criterion_2_warp_invariants():
         a, b = 0.7, -1.3
         combo = warp_features(
             FeatureMap((a * data + b * other).astype(np.float32)), wild,
-            WarpConfig(1.0)).data
-        parts = (a * warp_features(fm, wild, WarpConfig(1.0)).data
+            1.0).data
+        parts = (a * warp_features(fm, wild, 1.0).data
                  + b * warp_features(FeatureMap(other), wild,
-                                     WarpConfig(1.0)).data)
+                                     1.0).data)
         scale = max(np.abs(parts).max(), 1.0)
         ok &= np.abs(combo - parts).max() / scale <= 1e-5
         cases += 1
@@ -169,7 +169,7 @@ def test_criterion_4_alignment_end_to_end():
             fused = feats
         else:
             rf = resize_flow(gt_flow, feats.height, feats.width)
-            fused = ema_fuse(feats, warp_features(state, rf, WarpConfig(1.0)),
+            fused = ema_fuse(feats, warp_features(state, rf, 1.0),
                              alpha)
         state = fused
         masks_mc.append(decode(fused, mspec))
@@ -211,7 +211,7 @@ def test_criterion_4_alignment_end_to_end():
         for frames, ms in zip(frames_by_scene, specs):
             cfg = PipelineConfig(alpha=alpha, lam=lam, flow_scale=0.5,
                                  num_classes=2, mode=mode)
-            preds.extend(run_sequential(frames, cfg, ms)[0])
+            preds.extend(run(frames, cfg, ms)[0])
         return preds
 
     def high20(preds):
@@ -240,7 +240,7 @@ def test_criterion_5_false_positive_suppression():
     def mean_fp(mode):
         cfg = PipelineConfig(alpha=0.1, lam=1.0, flow_scale=0.5,
                              num_classes=2, mode=mode)
-        preds = run_sequential(frames, cfg, mspec)[0]
+        preds = run(frames, cfg, mspec)[0]
         return float(np.mean([fp_rate(p, g, 1)
                               for p, g in zip(preds[skip:], gts[skip:])]))
 
@@ -281,20 +281,36 @@ def test_criterion_7_runtime_structure():
     frames = [s[0] for s in generate(spec)]
     mspec = model_spec_from_scene(spec)
     cfg = PipelineConfig(alpha=0.2, flow_scale=0.5, num_classes=2)
-    equal = masks_equal(run_sequential(frames, cfg, mspec)[0],
-                        run_parallel(frames, cfg, mspec)[0])
+    par_cfg = PipelineConfig(alpha=0.2, flow_scale=0.5, num_classes=2,
+                             executor="parallel")
+    equal = masks_equal(run(frames, cfg, mspec)[0],
+                        run(frames, par_cfg, mspec)[0])
 
     # with 10 ms injected into flow and encode, the parallel executor
     # overlaps them while the sequential one pays for both
-    delays = StageDelays(flow=0.010, encode=0.010)
     tiny = [Frame(np.full((16, 16, 3), 90, np.uint8), index=i)
             for i in range(8)]
     tiny_spec = ModelSpec(num_classes=2, feature_stride=4,
                           prototypes=[Prototype(0, (90, 90, 90)),
                                       Prototype(1, (0, 0, 0))])
-    dcfg = PipelineConfig(alpha=0.2, num_classes=2, mode="ema")
-    _, ts = run_sequential(tiny, dcfg, tiny_spec, delays=delays)
-    _, tp = run_parallel(tiny, dcfg, tiny_spec, delays=delays)
+    dcfg = PipelineConfig(alpha=0.2, num_classes=2, mode="mcma")
+
+    def slow_encode(frame):
+        time.sleep(0.010)
+        return encode(frame, tiny_spec)
+
+    def slow_flow(prev, curr):
+        time.sleep(0.010)
+        return FlowField.zeros(curr.height, curr.width)
+
+    def delayed(pool):
+        seg = Segmenter(dcfg, tiny_spec, encoder=slow_encode, flow=slow_flow,
+                        pool=pool)
+        return [seg.push(frame)[1] for frame in tiny]
+
+    ts = delayed(None)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        tp = delayed(pool)
     seq_ms = np.mean([t.total_us for t in ts[1:]]) / 1000
     par_ms = np.mean([t.total_us for t in tp[1:]]) / 1000
 
@@ -306,7 +322,7 @@ def test_criterion_7_runtime_structure():
 
     def timings(scale):
         cfg = PipelineConfig(alpha=0.2, flow_scale=scale, num_classes=2)
-        return run_sequential(bframes, cfg, bspec)[1][1:]
+        return run(bframes, cfg, bspec)[1][1:]
 
     t_full = timings(1.0)
     t_quarter = timings(0.25)

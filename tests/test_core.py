@@ -70,6 +70,21 @@ class TestPnm:
         assert np.array_equal(read_mask(path).labels, mask.labels)
 
 
+class TestSegmentationMask:
+    def test_integer_labels_in_range_kept(self):
+        mask = SegmentationMask(np.array([[0, 255], [3, 44]], np.int64))
+        assert mask.labels.dtype == np.uint8
+        assert mask.labels.tolist() == [[0, 255], [3, 44]]
+
+    @pytest.mark.parametrize("labels", [
+        np.array([[256, -1], [3, 300]]), np.array([[0, -1]]),
+        np.array([[0.0, 1.7]]), np.array([[True, False]]),
+    ])
+    def test_rejects_bad_labels(self, labels):
+        with pytest.raises(ValueError):
+            SegmentationMask(labels)
+
+
 class TestFlowFile:
     def test_single_record_round_trip(self, tmp_path):
         flow = FlowField(np.array([[1.5, 1.5]], np.float32),

@@ -58,6 +58,12 @@ class TestMiou:
         with pytest.raises(ValueError):
             miou(mask([[0, 0]]), mask([[0], [0]]), 2)
 
+    def test_negative_label_rejected(self):
+        with pytest.raises(ValueError):
+            miou(np.array([[-1, 0], [1, 1]]), np.array([[0, 0], [1, 1]]), 2)
+        with pytest.raises(ValueError):
+            miou(np.array([[0, 0], [1, 1]]), np.array([[0, -1], [1, 1]]), 2)
+
     def test_against_brute_force(self, rng):
         for _ in range(100):
             pred = rng.integers(0, 4, (8, 8))

@@ -102,12 +102,6 @@ class TestEstimateFlow:
         with pytest.raises(ValueError):
             estimate_flow(a, b)
 
-    def test_negate_flag_flips_sign(self):
-        prev, curr = shifted_pair(96, 96, 8, 3, 0)
-        fwd = estimate_flow(prev, curr)
-        neg = estimate_flow(prev, curr, FlowParams(negate=True))
-        assert np.allclose(neg.u, -fwd.u) and np.allclose(neg.v, -fwd.v)
-
 
 class TestDownscale:
     def test_half_and_quarter_of_vga_like_input(self):

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from mcma import (FeatureMap, Frame, PipelineConfig, SceneObject, SceneSpec,
-                  TemporalState, ema_fuse, estimate_flow, fp_rate, generate,
-                  mcma_step, model_spec_from_scene)
+                  Segmenter, ema_fuse, fp_rate, generate,
+                  model_spec_from_scene)
 from mcma.model import decode, encode
+from mcma.pipeline import PipelineError
 
 
 def fmap(values):
@@ -44,25 +45,20 @@ def _scene(velocity=(0, 0), frames=8, noise=0.0, seed=3):
                                           velocity=velocity, radius=14)])
 
 
-def _run_steps(seq, cfg, mspec, flow_estimator):
-    state = None
-    masks = []
-    for frame, _, _ in seq:
-        state, mask = mcma_step(state, frame,
-                                lambda f: encode(f, mspec),
-                                lambda fm: decode(fm, mspec),
-                                flow_estimator, cfg)
-        masks.append(mask)
-    return masks
+def _run_steps(seq, cfg, mspec):
+    seg = Segmenter(cfg, mspec)
+    return [seg.push(frame)[0] for frame, _, _ in seq]
 
 
 class TestMcmaStep:
+    """One step of the recurrence is one Segmenter.push."""
+
     def test_static_sequence_matches_baseline(self):
         spec = _scene()
         seq = generate(spec)
         mspec = model_spec_from_scene(spec)
         cfg = PipelineConfig(alpha=0.3, lam=2.0, num_classes=2)
-        masks = _run_steps(seq, cfg, mspec, estimate_flow)
+        masks = _run_steps(seq, cfg, mspec)
         for frame, _, _ in seq:
             baseline = decode(encode(frame, mspec), mspec)
             for mask in masks:
@@ -73,7 +69,7 @@ class TestMcmaStep:
         seq = generate(spec)
         mspec = model_spec_from_scene(spec)
         cfg = PipelineConfig(alpha=1.0, lam=2.0, num_classes=2)
-        masks = _run_steps(seq, cfg, mspec, estimate_flow)
+        masks = _run_steps(seq, cfg, mspec)
         for (frame, _, _), mask in zip(seq, masks):
             baseline = decode(encode(frame, mspec), mspec)
             assert np.array_equal(mask.labels, baseline.labels)
@@ -87,7 +83,7 @@ class TestMcmaStep:
         seq = generate(spec)
         mspec = model_spec_from_scene(spec)
         cfg = PipelineConfig(alpha=0.1, lam=1.0, num_classes=2)
-        masks = _run_steps(seq, cfg, mspec, estimate_flow)
+        masks = _run_steps(seq, cfg, mspec)
         fp_mcma = np.mean([fp_rate(m, s[1], 1)
                            for m, s in zip(masks[5:], seq[5:])])
         fp_base = np.mean([fp_rate(decode(encode(s[0], mspec), mspec), s[1], 1)
@@ -100,27 +96,24 @@ class TestMcmaStep:
         seq = generate(spec)
         mspec = model_spec_from_scene(spec)
         cfg = PipelineConfig(alpha=0.2, lam=1.0, num_classes=2)
-        state = None
+        seg = Segmenter(cfg, mspec)
         lo, hi = np.inf, -np.inf
         for frame, _, _ in seq:
             feats = encode(frame, mspec)
             lo = min(lo, float(feats.data.min()))
             hi = max(hi, float(feats.data.max()))
-            state, _ = mcma_step(state, frame,
-                                 lambda f: encode(f, mspec),
-                                 lambda fm: decode(fm, mspec),
-                                 estimate_flow, cfg)
+            seg.push(frame)
             eps = 1e-5 * (hi - lo)
-            assert state.state_features.data.min() >= lo - eps
-            assert state.state_features.data.max() <= hi + eps
+            assert seg.state.data.min() >= lo - eps
+            assert seg.state.data.max() <= hi + eps
 
     def test_deterministic(self):
         spec = _scene(velocity=(2, 0), noise=0.01)
         seq = generate(spec)
         mspec = model_spec_from_scene(spec)
         cfg = PipelineConfig(alpha=0.2, lam=2.0, num_classes=2)
-        a = _run_steps(seq, cfg, mspec, estimate_flow)
-        b = _run_steps(seq, cfg, mspec, estimate_flow)
+        a = _run_steps(seq, cfg, mspec)
+        b = _run_steps(seq, cfg, mspec)
         for ma, mb in zip(a, b):
             assert np.array_equal(ma.labels, mb.labels)
 
@@ -129,19 +122,9 @@ class TestMcmaStep:
         seq = generate(spec)
         mspec = model_spec_from_scene(spec)
         cfg = PipelineConfig(alpha=0.5, num_classes=2)
-        state, _ = mcma_step(None, seq[0][0],
-                             lambda f: encode(f, mspec),
-                             lambda fm: decode(fm, mspec),
-                             estimate_flow, cfg)
+        seg = Segmenter(cfg, mspec)
+        seg.push(seq[0][0])
         other = Frame(np.zeros((32, 48, 3), np.uint8), index=1)
-        with pytest.raises(ValueError):
-            mcma_step(state, other, lambda f: encode(f, mspec),
-                      lambda fm: decode(fm, mspec), estimate_flow, cfg)
-
-
-class TestTemporalState:
-    def test_index_invariant(self, rng):
-        fm = FeatureMap(rng.normal(0, 1, (1, 2, 2)).astype(np.float32))
-        frame = Frame(np.zeros((8, 8, 1), np.uint8))
-        with pytest.raises(ValueError):
-            TemporalState(fm, frame, frame_index=0)
+        with pytest.raises(PipelineError) as err:
+            seg.push(other)
+        assert isinstance(err.value.cause, ValueError)

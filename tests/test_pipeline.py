@@ -1,9 +1,13 @@
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from mcma import (Frame, ModelSpec, PipelineConfig, Prototype, SceneObject,
-                  SceneSpec, StageDelays, benchmark_report, generate,
-                  model_spec_from_scene, run_parallel, run_sequential)
+from mcma import (FlowField, Frame, ModelSpec, PipelineConfig, Prototype,
+                  SceneObject, SceneSpec, Segmenter, alpha_sweep,
+                  benchmark_report, estimate_flow, generate,
+                  model_spec_from_scene, run)
 from mcma.model import decode, encode
 from mcma.pipeline import PipelineError, StageTiming, timings_csv
 
@@ -27,13 +31,31 @@ def tiny_frames(n=6):
             for i in range(n)]
 
 
+def slow_sources(mspec, delay=0.010):
+    """Encoder and flow sources that sleep before answering; the flow
+    source returns zero flow."""
+    def encoder(frame):
+        time.sleep(delay)
+        return encode(frame, mspec)
+
+    def flow(prev, curr):
+        time.sleep(delay)
+        return FlowField.zeros(curr.height, curr.width)
+
+    return {"encoder": encoder, "flow": flow}
+
+
+def push_all(seg, frames):
+    return [seg.push(frame) for frame in frames]
+
+
 class TestRunSequential:
     def test_single_frame_is_baseline(self):
         spec = moving_scene(frames=1)
         seq = generate(spec)
         mspec = model_spec_from_scene(spec)
         cfg = PipelineConfig(alpha=0.1, num_classes=2)
-        masks, timings = run_sequential([seq[0][0]], cfg, mspec)
+        masks, timings = run([seq[0][0]], cfg, mspec)
         baseline = decode(encode(seq[0][0], mspec), mspec)
         assert len(masks) == 1 and len(timings) == 1
         assert np.array_equal(masks[0].labels, baseline.labels)
@@ -44,7 +66,7 @@ class TestRunSequential:
         frames = [s[0] for s in seq]
         mspec = model_spec_from_scene(spec)
         cfg = PipelineConfig(alpha=1.0, flow_scale=0.5, num_classes=2)
-        masks, _ = run_sequential(frames, cfg, mspec)
+        masks, _ = run(frames, cfg, mspec)
         for frame, mask in zip(frames, masks):
             baseline = decode(encode(frame, mspec), mspec)
             assert np.array_equal(mask.labels, baseline.labels)
@@ -56,8 +78,8 @@ class TestRunSequential:
                              velocity=(1, 0), radius=8)])
         seq = generate(spec)
         cfg = PipelineConfig(alpha=0.2, num_classes=2, mode="ema")
-        masks, timings = run_sequential([s[0] for s in seq], cfg,
-                                        model_spec_from_scene(spec))
+        masks, timings = run([s[0] for s in seq], cfg,
+                             model_spec_from_scene(spec))
         assert len(masks) == 100 and len(timings) == 100
 
     def test_dimension_change_fails_with_index(self):
@@ -65,12 +87,12 @@ class TestRunSequential:
         frames[2] = Frame(np.zeros((24, 24, 3), np.uint8), index=2)
         cfg = PipelineConfig(alpha=0.5, num_classes=2)
         with pytest.raises(PipelineError) as err:
-            run_sequential(frames, cfg, tiny_model())
+            run(frames, cfg, tiny_model())
         assert err.value.frame_index == 2
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            run_sequential([], PipelineConfig(num_classes=2), tiny_model())
+            run([], PipelineConfig(num_classes=2), tiny_model())
 
 
 class TestRunParallel:
@@ -81,8 +103,10 @@ class TestRunParallel:
         mspec = model_spec_from_scene(spec)
         cfg = PipelineConfig(alpha=0.15, lam=2.0, flow_scale=0.5,
                              num_classes=2)
-        seq_masks, _ = run_sequential(frames, cfg, mspec)
-        par_masks, _ = run_parallel(frames, cfg, mspec)
+        par_cfg = PipelineConfig(alpha=0.15, lam=2.0, flow_scale=0.5,
+                                 num_classes=2, executor="parallel")
+        seq_masks, _ = run(frames, cfg, mspec)
+        par_masks, _ = run(frames, par_cfg, mspec)
         for a, b in zip(seq_masks, par_masks):
             assert np.array_equal(a.labels, b.labels)
 
@@ -90,8 +114,9 @@ class TestRunParallel:
         spec = moving_scene(frames=10)
         seq = generate(spec)
         mspec = model_spec_from_scene(spec)
-        cfg = PipelineConfig(alpha=1.0, num_classes=2, mode="baseline")
-        masks, _ = run_parallel([s[0] for s in seq], cfg, mspec)
+        cfg = PipelineConfig(alpha=1.0, num_classes=2, mode="baseline",
+                             executor="parallel")
+        masks, _ = run([s[0] for s in seq], cfg, mspec)
         for (frame, _, _), mask in zip(seq, masks):
             baseline = decode(encode(frame, mspec), mspec)
             assert np.array_equal(mask.labels, baseline.labels)
@@ -99,12 +124,13 @@ class TestRunParallel:
     def test_injected_delay_scheduling(self):
         # flow and encode each sleep 10 ms: the parallel schedule overlaps
         # them, the sequential one pays for both
-        delays = StageDelays(flow=0.010, encode=0.010)
-        cfg = PipelineConfig(alpha=0.5, num_classes=2, mode="ema")
-        _, seq_t = run_sequential(tiny_frames(), cfg, tiny_model(),
-                                  delays=delays)
-        _, par_t = run_parallel(tiny_frames(), cfg, tiny_model(),
-                                delays=delays)
+        cfg = PipelineConfig(alpha=0.5, num_classes=2, mode="mcma")
+        seg = Segmenter(cfg, tiny_model(), **slow_sources(tiny_model()))
+        seq_t = [t for _, t in push_all(seg, tiny_frames())]
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            seg = Segmenter(cfg, tiny_model(), pool=pool,
+                            **slow_sources(tiny_model()))
+            par_t = [t for _, t in push_all(seg, tiny_frames())]
         seq_ms = np.mean([t.total_us for t in seq_t[1:]]) / 1000
         par_ms = np.mean([t.total_us for t in par_t[1:]]) / 1000
         assert seq_ms > 20.0
@@ -116,11 +142,12 @@ class TestRunParallel:
         seq = generate(spec)
         mspec = model_spec_from_scene(spec)
         tol = 500.0  # us of measurement slack
-        _, seq_t = run_sequential([s[0] for s in seq], cfg, mspec)
+        _, seq_t = run([s[0] for s in seq], cfg, mspec)
         for t in seq_t[1:]:
             stages = t.flow_us + t.encode_us + t.warp_us + t.fuse_us + t.decode_us
             assert t.total_us >= stages - tol
-        _, par_t = run_parallel([s[0] for s in seq], cfg, mspec)
+        cfg.executor = "parallel"
+        _, par_t = run([s[0] for s in seq], cfg, mspec)
         for t in par_t[1:]:
             bound = max(t.flow_us, t.encode_us) + t.warp_us + t.fuse_us + t.decode_us
             assert t.total_us >= bound - tol
@@ -128,9 +155,10 @@ class TestRunParallel:
     def test_stage_failure_reports_frame(self, tmp_path):
         mspec = ModelSpec(kind="feature-files", num_classes=2,
                           feature_dir=str(tmp_path))
-        cfg = PipelineConfig(alpha=0.5, num_classes=2, mode="baseline")
+        cfg = PipelineConfig(alpha=0.5, num_classes=2, mode="baseline",
+                             executor="parallel")
         with pytest.raises(PipelineError) as err:
-            run_parallel(tiny_frames(2), cfg, mspec)
+            run(tiny_frames(2), cfg, mspec)
         assert err.value.frame_index == 0
 
 
@@ -167,3 +195,72 @@ class TestBenchmarkReport:
     def test_timings_csv_rows(self):
         csv = timings_csv(self.rows([10.0, 20.0]))
         assert len(csv.strip().splitlines()) == 3
+
+
+class TestSegmenter:
+    def test_degenerate_settings_never_call_flow(self):
+        spec = moving_scene(frames=6)
+        frames = [s[0] for s in generate(spec)]
+        mspec = model_spec_from_scene(spec)
+        calls = []
+
+        def counting_flow(prev, curr):
+            calls.append(curr.index)
+            return estimate_flow(prev, curr)
+
+        def masks(**kwargs):
+            seg = Segmenter(PipelineConfig(num_classes=2, **kwargs), mspec,
+                            flow=counting_flow)
+            return [m for m, _ in push_all(seg, frames)]
+
+        masks(alpha=1.0, mode="mcma")
+        masks(alpha=0.3, lam=0.0, mode="mcma")
+        assert calls == []
+        masks(alpha=0.3, lam=1.0, mode="mcma")
+        assert calls == [f.index for f in frames[1:]]
+
+        # baseline stays the per-frame baseline at lambda = 0
+        for frame, mask in zip(frames, masks(alpha=0.3, lam=0.0,
+                                             mode="baseline")):
+            baseline = decode(encode(frame, mspec), mspec)
+            assert np.array_equal(mask.labels, baseline.labels)
+
+    def test_failed_push_keeps_state(self):
+        spec = moving_scene(frames=3)
+        frames = [s[0] for s in generate(spec)]
+        mspec = model_spec_from_scene(spec)
+        cfg = PipelineConfig(alpha=0.3, lam=1.0, num_classes=2)
+        expected = [m for m, _ in push_all(Segmenter(cfg, mspec), frames)]
+        broken = []
+
+        def encoder(frame):
+            if broken:
+                raise RuntimeError("encoder unavailable")
+            return encode(frame, mspec)
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            seg = Segmenter(cfg, mspec, pool=pool, encoder=encoder)
+            seg.push(frames[0])
+            broken.append(True)
+            with pytest.raises(PipelineError) as err:
+                seg.push(frames[1])
+            assert err.value.frame_index == 1
+            broken.clear()
+            got = [seg.push(f)[0] for f in frames[1:]]
+        for a, b in zip(expected[1:], got):
+            assert np.array_equal(a.labels, b.labels)
+
+
+class TestAlphaSweepInputs:
+    def test_frame_and_gt_counts_validated(self):
+        spec = moving_scene(frames=3, width=64, height=48)
+        seq = generate(spec)
+        frames = [s[0] for s in seq]
+        gts = [s[1] for s in seq]
+        mspec = model_spec_from_scene(spec)
+        cfg = PipelineConfig(num_classes=2)
+        for bad_frames, bad_gts in (([], []), (frames, gts[:2]),
+                                    (frames, gts + gts[:1])):
+            with pytest.raises(ValueError):
+                alpha_sweep(bad_frames, bad_gts, cfg, mspec, alphas=[0.5])
+        assert len(alpha_sweep(frames, gts, cfg, mspec, alphas=[0.5])) == 2
