@@ -10,12 +10,12 @@ import argparse
 import os
 import sys
 
-from .core import PipelineConfig, read_flow, read_frame, read_mask, write_mask
+from .core import (FLOW_SCALES, PipelineConfig, read_flow, read_frame,
+                   read_mask, write_mask)
 from .evaluation import evaluate_run, report_csv
 from .flow import FlowParams
 from .model import ModelSpec
-from .pipeline import (PipelineError, alpha_sweep, benchmark_report, run,
-                       timings_csv)
+from .pipeline import alpha_sweep, benchmark_report, run, timings_csv
 from .synth import (SceneObject, SceneSpec, generate, model_spec_from_scene,
                     save_dataset)
 
@@ -35,6 +35,8 @@ def _parse_object(text: str) -> SceneObject:
         key, val = token.split("=", 1)
         kv[key] = val
     shape = kv.pop("shape")
+    if shape not in ("disk", "rectangle"):
+        raise ValueError(f"unknown object shape {shape!r}")
     cls = int(kv.pop("class"))
     color = _parse_tuple(kv.pop("color"), 3, int)
     velocity = _parse_tuple(kv.pop("velocity", "0,0"), 2)
@@ -191,7 +193,7 @@ def cmd_bench(args) -> int:
     frames = load_frames(args.frames)
     spec = _model_spec(args, args.frames)
     reports = []
-    for scale in (1.0, 0.5, 0.25):
+    for scale in FLOW_SCALES:
         for executor in ("sequential", "parallel"):
             cfg = PipelineConfig(alpha=args.alpha, lam=getattr(args, "lambda"),
                                  flow_scale=scale,
@@ -243,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="mcma")
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--lambda", type=float, default=2.0)
-    p.add_argument("--flow-scale", type=float, choices=(1.0, 0.5, 0.25),
+    p.add_argument("--flow-scale", type=float, choices=FLOW_SCALES,
                    default=1.0)
     p.add_argument("--executor", choices=("seq", "par"), default="seq")
     p.add_argument("--out", required=True)
@@ -255,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--lambda", type=float, default=2.0)
-    p.add_argument("--flow-scale", type=float, choices=(1.0, 0.5, 0.25),
+    p.add_argument("--flow-scale", type=float, choices=FLOW_SCALES,
                    default=1.0)
     p.add_argument("--out", required=True)
     _add_model_args(p)
@@ -286,9 +288,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:  # runtime failures exit 1, argparse exits 2
         print(f"error: {exc}", file=sys.stderr)
         return 1

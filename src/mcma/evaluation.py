@@ -117,6 +117,8 @@ def evaluate_run(preds_by_method: Mapping[str, Sequence],
     instead of over the whole run.
     """
     n = len(gts)
+    if n == 0:
+        raise ValueError("need at least one labeled frame")
     if len(flows) != n:
         raise ValueError("need one flow per labeled frame")
     for k, fl in enumerate(flows):

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .core import FlowField, Frame
+from .core import FLOW_SCALES, FlowField, Frame
+from .resample import align_corners, area_mean, bilinear
 
 
 @dataclass
@@ -56,47 +57,25 @@ def to_grayscale(frame: Frame) -> Frame:
 
 def downscale_frame(frame: Frame, scale: float) -> Frame:
     """Area-averaged downsample by 1, 1/2 or 1/4."""
+    if scale not in FLOW_SCALES:
+        raise ValueError("scale must be one of 1, 1/2, 1/4")
     if scale == 1.0:
         return frame
-    if scale not in (0.5, 0.25):
-        raise ValueError("scale must be one of 1, 1/2, 1/4")
     k = int(round(1.0 / scale))
-    h = (frame.height // k) * k
-    w = (frame.width // k) * k
-    if h // k < 2 or w // k < 2:
+    h, w = frame.height // k, frame.width // k
+    if h < 2 or w < 2:
         raise ValueError("downscaled frame would be smaller than 2x2")
-    d = frame.data[:h, :w].astype(np.float64)
-    d = d.reshape(h // k, k, w // k, k, frame.channels).mean(axis=(1, 3))
+    d = area_mean(frame.data[:h * k, :w * k], k)
     return Frame(np.rint(d).astype(np.uint8), index=frame.index)
 
 
-def _resize_bilinear(arr: np.ndarray, target_h: int, target_w: int) -> np.ndarray:
-    """Separable bilinear resize with align-corners coordinate mapping."""
-    src_h, src_w = arr.shape
-    if (src_h, src_w) == (target_h, target_w):
-        return arr.copy()
-
-    def coords(target, source):
-        if target == 1:
-            return np.zeros(1), np.zeros(1, np.intp), np.zeros(1, np.intp)
-        pos = np.arange(target) * ((source - 1) / (target - 1))
-        lo = np.clip(np.floor(pos).astype(np.intp), 0, source - 1)
-        hi = np.minimum(lo + 1, source - 1)
-        return pos - lo, lo, hi
-
-    fy, y0, y1 = coords(target_h, src_h)
-    fx, x0, x1 = coords(target_w, src_w)
-    rows = arr[y0] + fy[:, None] * (arr[y1] - arr[y0])
-    return rows[:, x0] + fx[None, :] * (rows[:, x1] - rows[:, x0])
-
-
 def resize_flow(flow: FlowField, target_h: int, target_w: int) -> FlowField:
-    """Bilinearly resample the field and rescale magnitudes so displacements
-    are expressed in target-grid pixels."""
+    """Bilinearly resample the field (align-corners) and rescale magnitudes
+    so displacements are expressed in target-grid pixels."""
     if target_h < 2 or target_w < 2:
         raise ValueError("target dimensions must be >= 2")
-    u = _resize_bilinear(flow.u.astype(np.float64), target_h, target_w)
-    v = _resize_bilinear(flow.v.astype(np.float64), target_h, target_w)
+    uv = np.stack([flow.u, flow.v], dtype=np.float64)
+    u, v = bilinear(uv, target_h, target_w, align_corners)
     u = u * target_w / flow.width
     v = v * target_h / flow.height
     return FlowField(u.astype(np.float32), v.astype(np.float32))
@@ -166,7 +145,7 @@ def _pyramid(img: np.ndarray, levels: int, scale: float):
         if (h, w) == prev.shape:
             break
         smoothed = ndimage.gaussian_filter(prev, sigma, mode="nearest")
-        pyr.append(_resize_bilinear(smoothed, h, w))
+        pyr.append(bilinear(smoothed, h, w, align_corners))
     return pyr
 
 

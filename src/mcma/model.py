@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import FeatureMap, Frame, SegmentationMask, read_features
+from .resample import area_mean, bilinear, half_pixel
 
 
 @dataclass(frozen=True)
@@ -55,13 +56,6 @@ def feature_file_path(feature_dir: str, frame_index: int) -> str:
     return os.path.join(feature_dir, f"{frame_index:06d}.mcfe")
 
 
-def _downscale_area(img: np.ndarray, stride: int) -> np.ndarray:
-    h, w, c = img.shape
-    if h % stride or w % stride:
-        raise ValueError("frame dimensions must be divisible by feature_stride")
-    return img.reshape(h // stride, stride, w // stride, stride, c).mean(axis=(1, 3))
-
-
 def encode(frame: Frame, spec: ModelSpec) -> FeatureMap:
     """E(x): frame to (num_classes, H/stride, W/stride) features."""
     if spec.kind == "feature-files":
@@ -70,16 +64,12 @@ def encode(frame: Frame, spec: ModelSpec) -> FeatureMap:
             raise FileNotFoundError(f"missing feature file {path}")
         return read_features(path)
 
-    img = frame.data.astype(np.float64)
-    if frame.channels == 1:
-        img = np.repeat(img, 3, axis=2)
-    small = _downscale_area(img, spec.feature_stride)
+    small = area_mean(frame.data, spec.feature_stride)
 
-    by_class = sorted(spec.prototypes, key=lambda p: p.class_id)
     chans = np.empty((spec.num_classes,) + small.shape[:2], np.float64)
-    for proto in by_class:
+    for proto in spec.prototypes:
         color = np.asarray(proto.color, np.float64)
-        dist = np.sum((small - color) ** 2, axis=2)
+        dist = np.sum((small - color) ** 2, axis=2)  # gray broadcasts
         chans[proto.class_id] = -dist / 255.0 ** 2 + proto.bias
     if spec.noise_std > 0.0:
         rng = np.random.default_rng([spec.noise_seed, frame.index])
@@ -87,29 +77,13 @@ def encode(frame: Frame, spec: ModelSpec) -> FeatureMap:
     return FeatureMap(chans.astype(np.float32))
 
 
-def _upsample_bilinear(data: np.ndarray, stride: int) -> np.ndarray:
-    """Half-pixel-aligned bilinear upsample of (c, h, w) by an integer stride."""
-    if stride == 1:
-        return data
-    c, h, w = data.shape
-
-    def axis_coords(n_out, n_in):
-        pos = np.clip((np.arange(n_out) + 0.5) / stride - 0.5, 0, n_in - 1)
-        lo = np.floor(pos).astype(np.intp)
-        hi = np.minimum(lo + 1, n_in - 1)
-        return (pos - lo).astype(data.dtype), lo, hi
-
-    fy, y0, y1 = axis_coords(h * stride, h)
-    fx, x0, x1 = axis_coords(w * stride, w)
-    rows = data[:, y0, :] + fy[None, :, None] * (data[:, y1, :] - data[:, y0, :])
-    return rows[:, :, x0] + fx[None, None, :] * (rows[:, :, x1] - rows[:, :, x0])
-
-
 def decode(features: FeatureMap, spec: ModelSpec) -> SegmentationMask:
-    """D(f): upsample per-class scores to full resolution, then argmax.
-    Ties resolve to the lowest class index."""
+    """D(f): half-pixel bilinear upsample of per-class scores to full
+    resolution, then argmax. Ties resolve to the lowest class index."""
     if features.channels != spec.num_classes:
         raise ValueError("feature channel count must equal num_classes")
-    scores = _upsample_bilinear(features.data, spec.feature_stride)
+    h, w = features.height, features.width
+    stride = spec.feature_stride
+    scores = bilinear(features.data, h * stride, w * stride, half_pixel)
     labels = np.argmax(scores, axis=0).astype(np.uint8)
     return SegmentationMask(labels)

@@ -1,0 +1,65 @@
+"""All resampling: area downscale, bilinear resize and the warp sampler.
+
+A coordinate map ``coords(n_out, n_in)`` places each output sample on the
+source grid: ``align_corners`` pins both grids' end samples together (flow
+pyramid, flow resize), ``half_pixel`` aligns pixel centres (decoder).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def align_corners(n_out: int, n_in: int) -> np.ndarray:
+    """Needs n_out >= 2: the first and last outputs sit on the input's."""
+    return np.arange(n_out) * ((n_in - 1) / (n_out - 1))
+
+
+def half_pixel(n_out: int, n_in: int) -> np.ndarray:
+    return (np.arange(n_out) + 0.5) / (n_out / n_in) - 0.5
+
+
+def _taps(pos: np.ndarray, n: int, dtype):
+    """Clamp positions to [0, n - 1]; returns (weight of hi, lo, hi)."""
+    pos = np.clip(pos, 0, n - 1)
+    lo = np.floor(pos).astype(np.intp)
+    hi = np.minimum(lo + 1, n - 1)
+    return (pos - lo).astype(dtype), lo, hi
+
+
+def area_mean(data: np.ndarray, k: int) -> np.ndarray:
+    """Float64 mean of each k x k block of a uint8 (h, w, c) array.
+
+    Rows are summed over contiguous memory first, then column blocks, in
+    integers; exact sums make the result equal to the float64 mean."""
+    h, w, c = data.shape
+    if h % k or w % k:
+        raise ValueError(f"{h}x{w} does not divide into {k}x{k} blocks")
+    rows = data.reshape(h // k, k, w * c).sum(axis=1, dtype=np.uint32)
+    blocks = rows.reshape(h // k, w // k, k, c)
+    return sum(blocks[:, :, i] for i in range(k)) / (k * k)
+
+
+def bilinear(data: np.ndarray, out_h: int, out_w: int, coords) -> np.ndarray:
+    """Separable bilinear resize of the last two axes; rows, then columns."""
+    in_h, in_w = data.shape[-2:]
+    if (in_h, in_w) == (out_h, out_w):
+        return data
+    fy, y0, y1 = _taps(coords(out_h, in_h), in_h, data.dtype)
+    fx, x0, x1 = _taps(coords(out_w, in_w), in_w, data.dtype)
+    top = data.take(y0, axis=-2)
+    rows = top + fy[:, None] * (data.take(y1, axis=-2) - top)
+    left = rows.take(x0, axis=-1)
+    return left + fx * (rows.take(x1, axis=-1) - left)
+
+
+def gather(data: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Sample (c, h, w) data at real-valued coordinate arrays, clamped."""
+    _, h, w = data.shape
+    fx, x0, x1 = _taps(x, w, data.dtype)
+    fy, y0, y1 = _taps(y, h, data.dtype)
+    top = data[:, y0, x0]
+    top = top + fx * (data[:, y0, x1] - top)
+    bot = data[:, y1, x0]
+    bot = bot + fx * (data[:, y1, x1] - bot)
+    return top + fy * (bot - top)

@@ -45,6 +45,12 @@ class TestParseSceneConfig:
             "size=10,10 velocity=0,1\n")
         assert spec.objects[0].size == (10.0, 10.0)
 
+    def test_unknown_shape_rejected(self):
+        with pytest.raises(ValueError, match="triangle"):
+            parse_scene_config(
+                "object = shape=triangle class=1 color=1,2,3 topleft=4,4 "
+                "size=10,10\n")
+
 
 class TestGenerate:
     def test_reproducible(self, tmp_path):

@@ -173,6 +173,10 @@ class TestEvaluateRun:
             by_method.setdefault(method, []).append((subset, val))
         assert by_method["baseline"] == by_method["mcma"]
 
+    def test_no_labeled_frames_rejected(self):
+        with pytest.raises(ValueError):
+            evaluate_run({"m": []}, [], [], 2)
+
     def test_missing_flow_rejected(self):
         preds, gts, flows = self._inputs()
         flows[3] = None

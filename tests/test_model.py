@@ -64,6 +64,16 @@ class TestEncode:
         fb = encode(Frame(shifted), spec2())
         assert np.allclose(fb.data[:, :, 1:], fa.data[:, :, :-1], atol=1e-5)
 
+    def test_gray_frame_equals_its_rgb_copy(self, rng):
+        gray = rng.integers(0, 256, (16, 24, 1)).astype(np.uint8)
+        a = encode(Frame(gray), spec2())
+        b = encode(Frame(np.repeat(gray, 3, axis=2)), spec2())
+        assert np.array_equal(a.data, b.data)
+
+    def test_size_not_divisible_by_stride(self):
+        with pytest.raises(ValueError):
+            encode(Frame(np.zeros((16, 18, 3), np.uint8)), spec2(stride=4))
+
     def test_feature_files_round_trip(self, tmp_path):
         fm = FeatureMap(np.random.default_rng(1).normal(
             0, 1, (2, 4, 4)).astype(np.float32))
