@@ -13,7 +13,6 @@ import sys
 from .core import (FLOW_SCALES, PipelineConfig, read_flow, read_frame,
                    read_mask, write_mask)
 from .evaluation import evaluate_run, report_csv
-from .flow import FlowParams
 from .model import ModelSpec
 from .pipeline import alpha_sweep, benchmark_report, run, timings_csv
 from .synth import (SceneObject, SceneSpec, generate, model_spec_from_scene,
@@ -34,20 +33,27 @@ def _parse_object(text: str) -> SceneObject:
             raise ValueError(f"bad object token {token!r}")
         key, val = token.split("=", 1)
         kv[key] = val
-    shape = kv.pop("shape")
+    shape = None
+
+    def required(key):
+        if key not in kv:
+            raise ValueError(f"{shape or 'scene'} object needs {key}=")
+        return kv.pop(key)
+
+    shape = required("shape")
     if shape not in ("disk", "rectangle"):
         raise ValueError(f"unknown object shape {shape!r}")
-    cls = int(kv.pop("class"))
-    color = _parse_tuple(kv.pop("color"), 3, int)
+    cls = int(required("class"))
+    color = _parse_tuple(required("color"), 3, int)
     velocity = _parse_tuple(kv.pop("velocity", "0,0"), 2)
     if shape == "disk":
-        position = _parse_tuple(kv.pop("center"), 2)
+        position = _parse_tuple(required("center"), 2)
         obj = SceneObject("disk", cls, color, position, velocity,
-                          radius=float(kv.pop("radius")))
+                          radius=float(required("radius")))
     else:
-        position = _parse_tuple(kv.pop("topleft"), 2)
+        position = _parse_tuple(required("topleft"), 2)
         obj = SceneObject("rectangle", cls, color, position, velocity,
-                          size=_parse_tuple(kv.pop("size"), 2))
+                          size=_parse_tuple(required("size"), 2))
     if kv:
         raise ValueError(f"unknown object keys: {sorted(kv)}")
     return obj
@@ -94,17 +100,20 @@ def load_scene(path: str) -> SceneSpec:
         return parse_scene_config(fh.read())
 
 
-def _load_dir(dirpath, suffix, reader):
+def _sorted_paths(dirpath, suffix):
     names = sorted(n for n in os.listdir(dirpath) if n.endswith(suffix))
     if not names:
         raise ValueError(f"no *{suffix} files in {dirpath}")
-    return [reader(os.path.join(dirpath, n),
-                   **({"index": i} if reader is read_frame else {}))
-            for i, n in enumerate(names)]
+    return [os.path.join(dirpath, n) for n in names]
 
 
 def load_frames(dirpath):
-    return _load_dir(dirpath, ".ppm", read_frame)
+    return [read_frame(path, index=i)
+            for i, path in enumerate(_sorted_paths(dirpath, ".ppm"))]
+
+
+def _load_masks(dirpath):
+    return [read_mask(path) for path in _sorted_paths(dirpath, ".pgm")]
 
 
 def _model_spec(args, frames_dir) -> ModelSpec:
@@ -116,23 +125,6 @@ def _model_spec(args, frames_dir) -> ModelSpec:
         os.path.abspath(frames_dir)), "scene.cfg")
     scene = load_scene(scene_path)
     return model_spec_from_scene(scene, feature_stride=args.stride)
-
-
-def _flow_params(args) -> FlowParams:
-    return FlowParams(pyramid_levels=args.flow_levels,
-                      pyramid_scale=args.flow_pyramid_scale,
-                      window_size=args.flow_window,
-                      iterations=args.flow_iterations,
-                      poly_n=args.poly_n, poly_sigma=args.poly_sigma)
-
-
-def _add_flow_args(p):
-    p.add_argument("--flow-levels", type=int, default=3)
-    p.add_argument("--flow-pyramid-scale", type=float, default=0.5)
-    p.add_argument("--flow-window", type=int, default=15)
-    p.add_argument("--flow-iterations", type=int, default=3)
-    p.add_argument("--poly-n", type=int, default=5)
-    p.add_argument("--poly-sigma", type=float, default=1.1)
 
 
 def _add_model_args(p):
@@ -157,13 +149,11 @@ def cmd_run(args) -> int:
     frames = load_frames(args.frames)
     cfg = PipelineConfig(alpha=args.alpha, lam=getattr(args, "lambda"),
                          flow_scale=args.flow_scale,
-                         num_classes=args.classes,
                          executor={"seq": "sequential",
                                    "par": "parallel"}[args.executor],
                          mode=args.mode)
     spec = _model_spec(args, args.frames)
-    cfg.num_classes = spec.num_classes
-    masks, timings = run(frames, cfg, spec, _flow_params(args))
+    masks, timings = run(frames, cfg, spec)
     os.makedirs(args.out, exist_ok=True)
     for j, mask in enumerate(masks):
         write_mask(mask, os.path.join(args.out, f"{j:06d}.pgm"))
@@ -175,12 +165,11 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     frames = load_frames(args.frames)
-    gts = _load_dir(args.gt, ".pgm", read_mask)
+    gts = _load_masks(args.gt)
     cfg = PipelineConfig(alpha=0.5, lam=getattr(args, "lambda"),
-                         flow_scale=args.flow_scale, num_classes=2)
+                         flow_scale=args.flow_scale)
     spec = _model_spec(args, args.frames)
-    cfg.num_classes = spec.num_classes
-    rows = alpha_sweep(frames, gts, cfg, spec, _flow_params(args))
+    rows = alpha_sweep(frames, gts, cfg, spec)
     with open(args.out, "w") as fh:
         fh.write("alpha,method,miou\n")
         for alpha, method, value in rows:
@@ -197,9 +186,8 @@ def cmd_bench(args) -> int:
         for executor in ("sequential", "parallel"):
             cfg = PipelineConfig(alpha=args.alpha, lam=getattr(args, "lambda"),
                                  flow_scale=scale,
-                                 num_classes=spec.num_classes,
                                  executor=executor, mode="mcma")
-            _, timings = run(frames, cfg, spec, _flow_params(args))
+            _, timings = run(frames, cfg, spec)
             reports.append(benchmark_report(timings[1:]))
     header, *_ = reports[0].splitlines()
     body = [line for rep in reports for line in rep.splitlines()[1:]]
@@ -215,9 +203,9 @@ def cmd_eval(args) -> int:
         if "=" not in item:
             raise ValueError("--pred expects NAME=DIR")
         name, dirpath = item.split("=", 1)
-        preds[name] = _load_dir(dirpath, ".pgm", read_mask)
-    gts = _load_dir(args.gt, ".pgm", read_mask)
-    flows = _load_dir(args.flows, ".mcfl", read_flow)
+        preds[name] = _load_masks(dirpath)
+    gts = _load_masks(args.gt)
+    flows = [read_flow(path) for path in _sorted_paths(args.flows, ".mcfl")]
     rows = evaluate_run(preds, gts, flows, args.classes)
     csv = report_csv(rows)
     if args.out:
@@ -250,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--executor", choices=("seq", "par"), default="seq")
     p.add_argument("--out", required=True)
     _add_model_args(p)
-    _add_flow_args(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep", help="mIoU of EMA vs MCMA over an alpha grid")
@@ -261,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=1.0)
     p.add_argument("--out", required=True)
     _add_model_args(p)
-    _add_flow_args(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bench", help="timing study over scales and executors")
@@ -270,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", type=float, default=2.0)
     p.add_argument("--out", required=True)
     _add_model_args(p)
-    _add_flow_args(p)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("eval", help="motion-partitioned mIoU table")

@@ -148,7 +148,7 @@ class PipelineConfig:
     alpha: float = 0.1
     lam: float = 2.0
     flow_scale: float = 1.0
-    num_classes: int = 2
+    num_classes: int = 2  # not read; ModelSpec.num_classes is the class count
     executor: str = "sequential"
     mode: str = "mcma"
 
@@ -159,8 +159,6 @@ class PipelineConfig:
             raise ValueError("lambda must be nonnegative")
         if self.flow_scale not in FLOW_SCALES:
             raise ValueError("flow_scale must be one of 1, 1/2, 1/4")
-        if self.num_classes < 2 or self.num_classes > 256:
-            raise ValueError("num_classes must be in [2, 256]")
         if self.executor not in ("sequential", "parallel"):
             raise ValueError("executor must be 'sequential' or 'parallel'")
         if self.mode not in ("baseline", "ema", "mcma"):

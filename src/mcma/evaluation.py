@@ -73,15 +73,15 @@ class MotionPartition:
     degenerate: bool = False
 
 
-def motion_quantile_partition(per_frame_motion: Sequence[float],
-                              low_q: float = 0.2,
-                              high_q: float = 0.8) -> MotionPartition:
-    """Split frame indices by empirical motion quantiles (linear
-    interpolation between order statistics)."""
+def motion_quantile_partition(
+        per_frame_motion: Sequence[float]) -> MotionPartition:
+    """Split frame indices at the 20% and 80% empirical motion quantiles
+    (linear interpolation between order statistics), the bounds the
+    ``low20`` and ``high20`` subsets are named after."""
     motion = np.asarray(per_frame_motion, np.float64)
     if motion.size < 5:
         raise ValueError("need at least 5 samples")
-    q_lo, q_hi = np.quantile(motion, [low_q, high_q], method="linear")
+    q_lo, q_hi = np.quantile(motion, [0.2, 0.8], method="linear")
     if np.all(motion == motion[0]):
         warnings.warn("degenerate motion distribution: every frame sits on "
                       "both quantile boundaries")

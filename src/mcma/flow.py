@@ -3,7 +3,10 @@
 The estimator follows the classic polynomial-expansion scheme: every pixel
 neighbourhood is fitted with a quadratic f(x) ~ x'Ax + b'x + c under Gaussian
 weighting, and the displacement relating the two fits is solved over a local
-window, coarse-to-fine over an image pyramid.
+window, coarse-to-fine over an image pyramid (Farnebäck, "Two-Frame Motion
+Estimation Based on Polynomial Expansion", SCIA 2003). The settings are fixed:
+3 pyramid levels at scale 0.5, a 15-pixel window, 3 iterations per level, and
+a 5x5 expansion neighbourhood with Gaussian sigma 1.1.
 
 Convention: the returned field is backward flow on the *current* frame's
 grid. A pixel p of the current frame originates from p + (u(p), v(p)) in the
@@ -12,8 +15,6 @@ previous frame, which is exactly what gather-style warping needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import ndimage
 
@@ -21,28 +22,12 @@ from .core import FLOW_SCALES, FlowField, Frame
 from .resample import align_corners, area_mean, bilinear
 
 
-@dataclass
-class FlowParams:
-    pyramid_levels: int = 3
-    pyramid_scale: float = 0.5
-    window_size: int = 15
-    iterations: int = 3
-    poly_n: int = 5
-    poly_sigma: float = 1.1
-
-    def __post_init__(self):
-        if self.pyramid_levels < 1:
-            raise ValueError("pyramid_levels must be >= 1")
-        if not 0.0 < self.pyramid_scale < 1.0:
-            raise ValueError("pyramid_scale must be in (0, 1)")
-        for name in ("window_size", "poly_n"):
-            val = getattr(self, name)
-            if val < 3 or val % 2 == 0:
-                raise ValueError(f"{name} must be odd and >= 3")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.poly_sigma <= 0.0:
-            raise ValueError("poly_sigma must be positive")
+PYRAMID_LEVELS = 3
+PYRAMID_SCALE = 0.5
+WINDOW = 15
+ITERATIONS = 3
+POLY_N = 5
+POLY_SIGMA = 1.1
 
 
 def to_grayscale(frame: Frame) -> Frame:
@@ -89,13 +74,34 @@ def mean_flow_magnitude(flow: FlowField) -> float:
 # ---------------------------------------------------------------------------
 # Polynomial expansion
 
-def polynomial_expansion(gray: Frame | np.ndarray, poly_n: int = 5,
-                         poly_sigma: float = 1.1):
+def _expansion_basis():
+    """Separable (x, y) correlation kernels of the basis [1, x, y, x^2, y^2,
+    xy] and the inverse of the metric G = sum_w a(w) b(w) b(w)^T over the
+    Gaussian window, which is the same for every pixel."""
+    n2 = POLY_N // 2
+    off = np.arange(-n2, n2 + 1, dtype=np.float64)
+    ax = np.exp(-off ** 2 / (2.0 * POLY_SIGMA ** 2))
+    one, lin, sq = ax, off * ax, off ** 2 * ax
+    kernels = ((one, one), (lin, one), (one, lin),
+               (sq, one), (one, sq), (lin, lin))
+
+    wy, wx = np.meshgrid(off, off, indexing="ij")
+    weight = np.exp(-(wx ** 2 + wy ** 2) / (2.0 * POLY_SIGMA ** 2))
+    basis = np.stack([np.ones_like(wx), wx, wy, wx ** 2, wy ** 2, wx * wy])
+    flat = basis.reshape(6, -1)
+    metric = (flat * weight.ravel()) @ flat.T
+    return kernels, np.linalg.inv(metric)
+
+
+_KERNELS, _METRIC_INV = _expansion_basis()
+
+
+def polynomial_expansion(gray: Frame | np.ndarray):
     """Per-pixel weighted least-squares quadratic fit.
 
     Returns (a11, a12, a22, b1, b2, c) arrays: f(p + (x, y)) is approximated
     by a11 x^2 + 2 a12 xy + a22 y^2 + b1 x + b2 y + c with Gaussian weights of
-    std poly_sigma over a poly_n x poly_n neighbourhood.
+    std POLY_SIGMA over a POLY_N x POLY_N neighbourhood.
     """
     if isinstance(gray, Frame):
         if gray.channels != 1:
@@ -104,29 +110,12 @@ def polynomial_expansion(gray: Frame | np.ndarray, poly_n: int = 5,
     else:
         img = np.asarray(gray, np.float64)
 
-    n2 = poly_n // 2
-    off = np.arange(-n2, n2 + 1, dtype=np.float64)
-    ax = np.exp(-off ** 2 / (2.0 * poly_sigma ** 2))
-
-    # basis [1, x, y, x^2, y^2, xy]; every correlation kernel is separable
-    kernels_1d = {"one": ax, "lin": off * ax, "sq": off ** 2 * ax}
-    pairs = [("one", "one"), ("lin", "one"), ("one", "lin"),
-             ("sq", "one"), ("one", "sq"), ("lin", "lin")]
-
-    # metric G = sum_w a(w) b(w) b(w)^T over the window, constant per pixel
-    wy, wx = np.meshgrid(off, off, indexing="ij")
-    weight = np.exp(-(wx ** 2 + wy ** 2) / (2.0 * poly_sigma ** 2))
-    basis = np.stack([np.ones_like(wx), wx, wy, wx ** 2, wy ** 2, wx * wy])
-    flat = basis.reshape(6, -1)
-    metric = (flat * weight.ravel()) @ flat.T
-    metric_inv = np.linalg.inv(metric)
-
     proj = np.empty((6,) + img.shape)
-    for k, (kx, ky) in enumerate(pairs):
-        tmp = ndimage.correlate1d(img, kernels_1d[kx], axis=1, mode="nearest")
-        proj[k] = ndimage.correlate1d(tmp, kernels_1d[ky], axis=0, mode="nearest")
+    for k, (kx, ky) in enumerate(_KERNELS):
+        tmp = ndimage.correlate1d(img, kx, axis=1, mode="nearest")
+        proj[k] = ndimage.correlate1d(tmp, ky, axis=0, mode="nearest")
 
-    r = np.tensordot(metric_inv, proj, axes=1)
+    r = np.tensordot(_METRIC_INV, proj, axes=1)
     c, b1, b2, a11, a22, axy = r
     return a11, axy / 2.0, a22, b1, b2, c
 
@@ -134,14 +123,14 @@ def polynomial_expansion(gray: Frame | np.ndarray, poly_n: int = 5,
 # ---------------------------------------------------------------------------
 # Displacement estimation
 
-def _pyramid(img: np.ndarray, levels: int, scale: float):
+def _pyramid(img: np.ndarray):
     """Fine-to-coarse list of smoothed, shrunken copies."""
-    sigma = 0.5 / scale
+    sigma = 0.5 / PYRAMID_SCALE
     pyr = [img]
-    for _ in range(1, levels):
+    for _ in range(1, PYRAMID_LEVELS):
         prev = pyr[-1]
-        h = max(int(round(prev.shape[0] * scale)), 4)
-        w = max(int(round(prev.shape[1] * scale)), 4)
+        h = max(int(round(prev.shape[0] * PYRAMID_SCALE)), 4)
+        w = max(int(round(prev.shape[1] * PYRAMID_SCALE)), 4)
         if (h, w) == prev.shape:
             break
         smoothed = ndimage.gaussian_filter(prev, sigma, mode="nearest")
@@ -149,14 +138,14 @@ def _pyramid(img: np.ndarray, levels: int, scale: float):
     return pyr
 
 
-def _solve_level(expand_cur, expand_prev, u, v, params: FlowParams):
+def _solve_level(expand_cur, expand_prev, u, v):
     a11c, a12c, a22c, b1c, b2c = expand_cur
     a11p, a12p, a22p, b1p, b2p = expand_prev
     h, w = a11c.shape
     yy, xx = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
     eps = 1e-9
 
-    for _ in range(params.iterations):
+    for _ in range(ITERATIONS):
         sx = np.clip(np.rint(xx + u), 0, w - 1).astype(np.intp)
         sy = np.clip(np.rint(yy + v), 0, h - 1).astype(np.intp)
         du = sx - xx
@@ -173,9 +162,8 @@ def _solve_level(expand_cur, expand_prev, u, v, params: FlowParams):
         m22 = a12 * a12 + a22 * a22
         h1 = a11 * db1 + a12 * db2
         h2 = a12 * db1 + a22 * db2
-        size = params.window_size
         m11, m12, m22, h1, h2 = (
-            ndimage.uniform_filter(arr, size, mode="nearest")
+            ndimage.uniform_filter(arr, WINDOW, mode="nearest")
             for arr in (m11, m12, m22, h1, h2))
 
         det = m11 * m22 - m12 * m12
@@ -186,11 +174,8 @@ def _solve_level(expand_cur, expand_prev, u, v, params: FlowParams):
     return u, v
 
 
-def estimate_flow(prev: Frame, curr: Frame,
-                  params: FlowParams | None = None) -> FlowField:
+def estimate_flow(prev: Frame, curr: Frame) -> FlowField:
     """Backward flow on the current frame's grid (see module docstring)."""
-    if params is None:
-        params = FlowParams()
     if (prev.height, prev.width) != (curr.height, curr.width):
         raise ValueError("frames must share dimensions")
 
@@ -199,8 +184,8 @@ def estimate_flow(prev: Frame, curr: Frame,
 
     # solve with image1 = current and image2 = previous so the displacement
     # points from the current grid into the previous frame
-    pyr_cur = _pyramid(curr_img, params.pyramid_levels, params.pyramid_scale)
-    pyr_prev = _pyramid(prev_img, params.pyramid_levels, params.pyramid_scale)
+    pyr_cur = _pyramid(curr_img)
+    pyr_prev = _pyramid(prev_img)
 
     u = v = None
     for level in range(len(pyr_cur) - 1, -1, -1):
@@ -214,8 +199,8 @@ def estimate_flow(prev: Frame, curr: Frame,
                                        v.astype(np.float32)), h, w)
             u = up.u.astype(np.float64)
             v = up.v.astype(np.float64)
-        exp_cur = polynomial_expansion(cur_l, params.poly_n, params.poly_sigma)[:5]
-        exp_prev = polynomial_expansion(prev_l, params.poly_n, params.poly_sigma)[:5]
-        u, v = _solve_level(exp_cur, exp_prev, u, v, params)
+        exp_cur = polynomial_expansion(cur_l)[:5]
+        exp_prev = polynomial_expansion(prev_l)[:5]
+        u, v = _solve_level(exp_cur, exp_prev, u, v)
 
     return FlowField(u.astype(np.float32), v.astype(np.float32))

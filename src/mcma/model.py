@@ -22,7 +22,6 @@ from .resample import area_mean, bilinear, half_pixel
 class Prototype:
     class_id: int
     color: tuple  # (r, g, b)
-    bias: float = 0.0
 
 
 @dataclass
@@ -38,8 +37,9 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in ("reference", "feature-files"):
             raise ValueError("kind must be 'reference' or 'feature-files'")
-        if self.num_classes < 2:
-            raise ValueError("need at least two classes")
+        if not 2 <= self.num_classes <= 256:
+            # decode writes uint8 labels
+            raise ValueError("num_classes must be in [2, 256]")
         if self.feature_stride < 1:
             raise ValueError("feature_stride must be positive")
         if self.kind == "reference":
@@ -70,7 +70,7 @@ def encode(frame: Frame, spec: ModelSpec) -> FeatureMap:
     for proto in spec.prototypes:
         color = np.asarray(proto.color, np.float64)
         dist = np.sum((small - color) ** 2, axis=2)  # gray broadcasts
-        chans[proto.class_id] = -dist / 255.0 ** 2 + proto.bias
+        chans[proto.class_id] = -dist / 255.0 ** 2
     if spec.noise_std > 0.0:
         rng = np.random.default_rng([spec.noise_seed, frame.index])
         chans = chans + rng.normal(0.0, spec.noise_std, chans.shape)

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, List, Optional, Sequence
 import numpy as np
 
 from .core import FeatureMap, FlowField, Frame, PipelineConfig, SegmentationMask
-from .flow import FlowParams, downscale_frame, estimate_flow, resize_flow
+from .flow import downscale_frame, estimate_flow, resize_flow
 from .fusion import ema_fuse
 from .model import ModelSpec, decode, encode
 from .warping import warp_features
@@ -72,16 +72,13 @@ class Segmenter:
     plain EMA, so neither computes flow that would be discarded.
     """
 
-    def __init__(self, cfg: PipelineConfig, model_spec: ModelSpec,
-                 flow_params: Optional[FlowParams] = None, *,
+    def __init__(self, cfg: PipelineConfig, model_spec: ModelSpec, *,
                  encoder: Optional[Callable[[Frame], FeatureMap]] = None,
                  flow: Optional[Callable[[Frame, Frame], FlowField]] = None,
                  pool: Optional[Executor] = None):
         self.cfg = cfg
-        params = flow_params or FlowParams()
         self._encode = encoder or (lambda frame: encode(frame, model_spec))
-        self._flow = flow or (lambda prev, curr:
-                              estimate_flow(prev, curr, params))
+        self._flow = flow or estimate_flow
         self._decode = lambda fused: decode(fused, model_spec)
         self._pool = pool
         if cfg.alpha == 1.0:
@@ -155,15 +152,14 @@ class Segmenter:
                                  self.cfg.flow_scale)
 
 
-def run(frames: Iterable[Frame], cfg: PipelineConfig, model_spec: ModelSpec,
-        flow_params: Optional[FlowParams] = None):
+def run(frames: Iterable[Frame], cfg: PipelineConfig, model_spec: ModelSpec):
     """Segment a clip on ``cfg.executor``; returns (masks, timings)."""
     masks: List[SegmentationMask] = []
     timings: List[StageTiming] = []
     parallel = cfg.executor == "parallel"
     with (ThreadPoolExecutor(max_workers=1) if parallel
           else contextlib.nullcontext()) as pool:
-        seg = Segmenter(cfg, model_spec, flow_params, pool=pool)
+        seg = Segmenter(cfg, model_spec, pool=pool)
         for frame in frames:
             mask, timing = seg.push(frame)
             masks.append(mask)
@@ -196,7 +192,6 @@ def benchmark_report(timings: Sequence[StageTiming]) -> str:
 
 def alpha_sweep(frames: Sequence[Frame], gts, cfg: PipelineConfig,
                 model_spec: ModelSpec,
-                flow_params: Optional[FlowParams] = None,
                 alphas: Optional[Sequence[float]] = None):
     """mIoU of plain EMA vs MCMA over a grid of smoothing factors.
 
@@ -215,10 +210,9 @@ def alpha_sweep(frames: Sequence[Frame], gts, cfg: PipelineConfig,
                          f"{len(gts)} for {len(frames)} frames")
     if alphas is None:
         alphas = [round(0.1 + 0.05 * k, 2) for k in range(17)]
-    params = flow_params or FlowParams()
     feats = [encode(f, model_spec) for f in frames]
     small = [downscale_frame(f, cfg.flow_scale) for f in frames]
-    flows = [estimate_flow(a, b, params) for a, b in zip(small, small[1:])]
+    flows = [estimate_flow(a, b) for a, b in zip(small, small[1:])]
 
     # the replayed sources ignore the frames they are given, so each push
     # gets the flow-grid copy at flow scale 1, which is not downscaled again

@@ -20,6 +20,7 @@ from .core import (FlowField, Frame, SegmentationMask, write_flow, write_frame,
 from .model import ModelSpec, Prototype
 
 MAX_SPEED = 8.0
+NOISE_BLOB_RADIUS = 3
 
 
 @dataclass
@@ -53,7 +54,6 @@ class SceneSpec:
     background_color: Tuple[int, int, int] = (40, 110, 40)
     texture_amplitude: float = 8.0
     label_noise_rate: float = 0.0
-    noise_blob_radius: float = 3.0
     noise_class: Optional[int] = None
     frames: int = 10
     seed: int = 0
@@ -86,7 +86,7 @@ class SceneSpec:
 
 
 def prototypes_from_scene(spec: SceneSpec) -> list:
-    """Class prototypes (class color, zero bias) for the reference model."""
+    """Class prototypes (one color per class) for the reference model."""
     colors = {spec.background_class: spec.background_color}
     for obj in spec.objects:
         colors.setdefault(obj.class_id, obj.color)
@@ -200,7 +200,7 @@ def generate(spec: SceneSpec):
             # area averaging; centers are thinned so the per-pixel swap
             # probability still matches label_noise_rate
             from scipy import ndimage
-            r = int(round(spec.noise_blob_radius))
+            r = NOISE_BLOB_RADIUS
             dy, dx = np.mgrid[-r:r + 1, -r:r + 1]
             disk = dy ** 2 + dx ** 2 <= r ** 2
             rng_noise = np.random.default_rng([spec.seed, 7001, j])

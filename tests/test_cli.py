@@ -51,6 +51,17 @@ class TestParseSceneConfig:
                 "object = shape=triangle class=1 color=1,2,3 topleft=4,4 "
                 "size=10,10\n")
 
+    @pytest.mark.parametrize("fields, message", [
+        ("shape=rectangle class=1 color=1,2,3",
+         "rectangle object needs topleft"),
+        ("shape=disk class=1 color=1,2,3 center=4,4",
+         "disk object needs radius"),
+        ("class=1 color=1,2,3 center=4,4 radius=2", "object needs shape"),
+    ])
+    def test_missing_key_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            parse_scene_config(f"object = {fields}\n")
+
 
 class TestGenerate:
     def test_reproducible(self, tmp_path):
@@ -105,6 +116,18 @@ class TestRun:
     def test_bad_arguments_exit_2(self):
         with pytest.raises(SystemExit) as err:
             main(["run", "--frames"])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--frames", "f", "--out", "o"],
+        ["sweep", "--frames", "f", "--gt", "g", "--out", "o"],
+        ["bench", "--frames", "f", "--out", "o"]])
+    @pytest.mark.parametrize("flag", [
+        "--flow-levels", "--flow-pyramid-scale", "--flow-window",
+        "--flow-iterations", "--poly-n", "--poly-sigma"])
+    def test_flow_settings_are_not_options(self, argv, flag):
+        with pytest.raises(SystemExit) as err:
+            main(argv + [flag, "3"])
         assert err.value.code == 2
 
 

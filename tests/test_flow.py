@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from mcma import (FlowField, FlowParams, Frame, downscale_frame, estimate_flow,
+from mcma import (FlowField, Frame, downscale_frame, estimate_flow,
                   mean_flow_magnitude, polynomial_expansion, resize_flow,
                   to_grayscale)
+from mcma.flow import POLY_N, POLY_SIGMA
 
 from conftest import shifted_pair, smooth_texture
 
@@ -65,9 +66,9 @@ class TestPolynomialExpansion:
     def test_against_normal_equation_oracle(self):
         rng = np.random.default_rng(7)
         img = rng.normal(100, 25, (14, 15))
-        got = polynomial_expansion(img, 5, 1.1)
+        got = polynomial_expansion(img)
         for (y, x) in [(5, 5), (7, 9), (3, 11)]:
-            want = brute_force_expansion(img, y, x, 5, 1.1)
+            want = brute_force_expansion(img, y, x, POLY_N, POLY_SIGMA)
             for g, wv in zip(got, want):
                 assert g[y, x] == pytest.approx(wv, abs=1e-6)
 
@@ -186,12 +187,3 @@ class TestMeanFlowMagnitude:
             v.ravel()[perm].reshape(6, 6).astype(np.float32)))
         assert a == pytest.approx(b)
 
-
-class TestFlowParams:
-    @pytest.mark.parametrize("kwargs", [
-        {"pyramid_levels": 0}, {"pyramid_scale": 1.0},
-        {"window_size": 4}, {"poly_n": 2}, {"iterations": 0},
-    ])
-    def test_rejects(self, kwargs):
-        with pytest.raises(ValueError):
-            FlowParams(**kwargs)

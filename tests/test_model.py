@@ -22,6 +22,19 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ModelSpec(kind="feature-files", num_classes=2)
 
+    @pytest.mark.parametrize("num_classes", [1, 257])
+    def test_class_count_fits_uint8_labels(self, num_classes):
+        with pytest.raises(ValueError, match=r"\[2, 256\]"):
+            ModelSpec(kind="feature-files", num_classes=num_classes,
+                      feature_dir="features")
+
+    def test_256_classes_decode_to_top_label(self):
+        spec = ModelSpec(kind="feature-files", num_classes=256,
+                         feature_stride=1, feature_dir="features")
+        data = np.zeros((256, 2, 2), np.float32)
+        data[255] = 1.0
+        assert np.all(decode(FeatureMap(data), spec).labels == 255)
+
 
 class TestEncode:
     def test_prototype_pixel_wins(self):
