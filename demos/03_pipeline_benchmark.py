@@ -17,7 +17,7 @@ model = model_spec_from_scene(spec)
 
 for flow_scale in (1.0, 0.25):
     for executor in ("sequential", "parallel"):
-        cfg = PipelineConfig(alpha=0.1, flow_scale=flow_scale, num_classes=2,
+        cfg = PipelineConfig(alpha=0.1, flow_scale=flow_scale,
                              executor=executor)
         _, timings = run(frames, cfg, model)
         print(f"--- executor={executor} flow_scale={flow_scale}")

@@ -25,8 +25,7 @@ model = model_spec_from_scene(spec)
 
 preds = {}
 for mode in ("baseline", "ema", "mcma"):
-    cfg = PipelineConfig(alpha=0.1, lam=1.0, flow_scale=0.5, num_classes=2,
-                         mode=mode)
+    cfg = PipelineConfig(alpha=0.1, lam=1.0, flow_scale=0.5, mode=mode)
     preds[mode], _ = run(frames, cfg, model)
 
 print("mIoU by motion subset:")
@@ -38,7 +37,7 @@ for mode, masks in preds.items():
     print(f"  {mode:8s} {rate:.4f}")
 
 print("\nalpha sweep (gap = mcma - ema):")
-cfg = PipelineConfig(alpha=0.5, lam=1.0, flow_scale=0.5, num_classes=2)
+cfg = PipelineConfig(alpha=0.5, lam=1.0, flow_scale=0.5)
 rows = alpha_sweep(frames, gts, cfg, model,
                    alphas=[round(0.1 * k, 1) for k in range(1, 10)])
 scores = {}

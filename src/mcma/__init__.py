@@ -9,11 +9,11 @@ from .core import (FeatureMap, FlowField, FormatError, Frame, PipelineConfig,
 from .flow import (downscale_frame, estimate_flow, mean_flow_magnitude,
                    polynomial_expansion, resize_flow, to_grayscale)
 from .fusion import ema_fuse
-from .model import ModelSpec, Prototype, decode, encode
+from .model import ModelSpec, decode, encode
 from .pipeline import (Segmenter, StageTiming, alpha_sweep, benchmark_report,
                        run)
 from .synth import (SceneObject, SceneSpec, generate, model_spec_from_scene,
-                    motion_profile, prototypes_from_scene, save_dataset)
+                    prototypes_from_scene, save_dataset)
 from .warping import warp_features
 from .evaluation import (evaluate_run, fp_rate, miou, motion_in_input_pixels,
                          motion_quantile_partition, report_csv)

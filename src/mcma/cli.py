@@ -118,8 +118,7 @@ def _load_masks(dirpath):
 
 def _model_spec(args, frames_dir) -> ModelSpec:
     if getattr(args, "features", None):
-        return ModelSpec(kind="feature-files", num_classes=args.classes,
-                         feature_stride=args.stride,
+        return ModelSpec(feature_stride=args.stride,
                          feature_dir=args.features)
     scene_path = args.scene or os.path.join(os.path.dirname(
         os.path.abspath(frames_dir)), "scene.cfg")
@@ -130,9 +129,8 @@ def _model_spec(args, frames_dir) -> ModelSpec:
 def _add_model_args(p):
     p.add_argument("--scene", help="scene config used to build the reference "
                                    "model (default: <frames>/../scene.cfg)")
-    p.add_argument("--features", help="MCFE directory for feature-files mode")
-    p.add_argument("--classes", type=int, default=2,
-                   help="class count for feature-files mode")
+    p.add_argument("--features", help="MCFE directory for feature-files mode "
+                                      "(class count = channel count)")
     p.add_argument("--stride", type=int, default=4, help="feature stride")
 
 

@@ -148,7 +148,8 @@ class PipelineConfig:
     alpha: float = 0.1
     lam: float = 2.0
     flow_scale: float = 1.0
-    num_classes: int = 2  # not read; ModelSpec.num_classes is the class count
+    # not read: the class count is the channel count of the model's features
+    num_classes: int = 2
     executor: str = "sequential"
     mode: str = "mcma"
 
@@ -205,10 +206,9 @@ def read_frame(path, index: int = 0) -> Frame:
         channels = 1
     else:
         raise FormatError(f"unsupported PNM magic {magic!r}")
-    try:
-        width, height, maxval = (int(t) for t in tokens[1:])
-    except ValueError as exc:
-        raise FormatError("malformed PNM header") from exc
+    if not all(t.isdigit() for t in tokens[1:]):  # int() also takes 1_0, +2
+        raise FormatError("malformed PNM header")
+    width, height, maxval = (int(t) for t in tokens[1:])
     if width < 2 or height < 2:
         raise FormatError("malformed header: degenerate dimensions")
     if maxval != 255:
@@ -262,10 +262,14 @@ def read_flow(path) -> FlowField:
     if len(buf) < 12:
         raise FormatError("truncated flow header")
     width, height = struct.unpack("<II", buf[4:12])
+    if width == 0 or height == 0:
+        raise FormatError("flow file has a zero dimension")
     expected = 12 + width * height * 8
     if len(buf) != expected:
         raise FormatError("flow payload size mismatch")
     uv = np.frombuffer(buf[12:], dtype="<f4").reshape(height, width, 2)
+    if not np.all(np.isfinite(uv)):
+        raise FormatError("flow file contains non-finite values")
     return FlowField(uv[:, :, 0].astype(np.float32),
                      uv[:, :, 1].astype(np.float32))
 
@@ -286,6 +290,8 @@ def read_features(path) -> FeatureMap:
     if len(buf) < 16:
         raise FormatError("truncated feature header")
     channels, height, width = struct.unpack("<III", buf[4:16])
+    if 0 in (channels, height, width):
+        raise FormatError("feature file has a zero dimension")
     expected = 16 + channels * height * width * 4
     if len(buf) != expected:
         raise FormatError("feature payload size mismatch")

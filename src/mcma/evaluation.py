@@ -10,7 +10,7 @@ from __future__ import annotations
 import io
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -51,6 +51,18 @@ def _iou_from_counts(inter, union):
 def miou(pred, gt, num_classes: int):
     """Returns (mean IoU, per-class IoU vector with NaN for absent classes)."""
     return _iou_from_counts(*_confusion_counts(pred, gt, num_classes))
+
+
+def pooled_miou(preds: Iterable, gts: Iterable, num_classes: int) -> float:
+    """Mean IoU of the per-class intersections and unions summed over
+    aligned frames (NaN when no class occurs in any of them)."""
+    inter = np.zeros(num_classes, np.int64)
+    union = np.zeros(num_classes, np.int64)
+    for pred, gt in zip(preds, gts, strict=True):
+        it, un = _confusion_counts(pred, gt, num_classes)
+        inter += it
+        union += un
+    return _iou_from_counts(inter, union)[0]
 
 
 def fp_rate(pred, gt, target_class: int) -> float:
@@ -152,16 +164,9 @@ def evaluate_run(preds_by_method: Mapping[str, Sequence],
     for method, preds in preds_by_method.items():
         for name in SUBSETS:
             idx = subsets[name]
-            if not idx:
-                rows.append((method, name, float("nan")))
-                continue
-            inter = np.zeros(num_classes, np.int64)
-            union = np.zeros(num_classes, np.int64)
-            for i in idx:
-                it, un = _confusion_counts(preds[i], gts[i], num_classes)
-                inter += it
-                union += un
-            rows.append((method, name, _iou_from_counts(inter, union)[0]))
+            value = pooled_miou([preds[i] for i in idx],
+                                [gts[i] for i in idx], num_classes)
+            rows.append((method, name, value))
     return rows
 
 

@@ -4,12 +4,15 @@ Two implementations share one interface: an analytic, training-free
 reference model (per-class color prototypes, every behaviour has a closed
 form) and a feature-files model that replays externally exported "MCFE"
 files so real networks can be plugged in offline.
+
+The class count is the features' channel count: the number of prototypes
+for the reference model, the files' channel count for feature files.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -18,38 +21,28 @@ from .core import FeatureMap, Frame, SegmentationMask, read_features
 from .resample import area_mean, bilinear, half_pixel
 
 
-@dataclass(frozen=True)
-class Prototype:
-    class_id: int
-    color: tuple  # (r, g, b)
+def _check_class_count(count: int) -> None:
+    if not 2 <= count <= 256:
+        # decode writes uint8 labels
+        raise ValueError(f"class count must be in [2, 256], got {count}")
 
 
 @dataclass
 class ModelSpec:
-    kind: str = "reference"
-    num_classes: int = 2
+    """``prototypes[k]`` is the (r, g, b) color of class k. A spec with
+    ``feature_dir`` replays MCFE files instead; give exactly one of them."""
+
+    prototypes: Sequence[tuple] = ()
     feature_stride: int = 4
-    prototypes: Sequence[Prototype] = field(default_factory=tuple)
-    noise_std: float = 0.0
-    noise_seed: int = 0
     feature_dir: Optional[str] = None
 
     def __post_init__(self):
-        if self.kind not in ("reference", "feature-files"):
-            raise ValueError("kind must be 'reference' or 'feature-files'")
-        if not 2 <= self.num_classes <= 256:
-            # decode writes uint8 labels
-            raise ValueError("num_classes must be in [2, 256]")
         if self.feature_stride < 1:
             raise ValueError("feature_stride must be positive")
-        if self.kind == "reference":
-            if len(self.prototypes) != self.num_classes:
-                raise ValueError("prototype count must equal num_classes")
-            ids = sorted(p.class_id for p in self.prototypes)
-            if ids != list(range(self.num_classes)):
-                raise ValueError("prototypes must cover classes 0..L-1")
-        elif self.feature_dir is None:
-            raise ValueError("feature-files model needs feature_dir")
+        if (self.feature_dir is None) == (len(self.prototypes) == 0):
+            raise ValueError("give either prototypes or feature_dir")
+        if self.feature_dir is None:
+            _check_class_count(len(self.prototypes))
 
 
 def feature_file_path(feature_dir: str, frame_index: int) -> str:
@@ -57,8 +50,8 @@ def feature_file_path(feature_dir: str, frame_index: int) -> str:
 
 
 def encode(frame: Frame, spec: ModelSpec) -> FeatureMap:
-    """E(x): frame to (num_classes, H/stride, W/stride) features."""
-    if spec.kind == "feature-files":
+    """E(x): frame to (classes, H/stride, W/stride) features."""
+    if spec.feature_dir is not None:
         path = feature_file_path(spec.feature_dir, frame.index)
         if not os.path.exists(path):
             raise FileNotFoundError(f"missing feature file {path}")
@@ -66,22 +59,18 @@ def encode(frame: Frame, spec: ModelSpec) -> FeatureMap:
 
     small = area_mean(frame.data, spec.feature_stride)
 
-    chans = np.empty((spec.num_classes,) + small.shape[:2], np.float64)
-    for proto in spec.prototypes:
-        color = np.asarray(proto.color, np.float64)
+    chans = np.empty((len(spec.prototypes),) + small.shape[:2], np.float64)
+    for k, color in enumerate(spec.prototypes):
+        color = np.asarray(color, np.float64)
         dist = np.sum((small - color) ** 2, axis=2)  # gray broadcasts
-        chans[proto.class_id] = -dist / 255.0 ** 2
-    if spec.noise_std > 0.0:
-        rng = np.random.default_rng([spec.noise_seed, frame.index])
-        chans = chans + rng.normal(0.0, spec.noise_std, chans.shape)
+        chans[k] = -dist / 255.0 ** 2
     return FeatureMap(chans.astype(np.float32))
 
 
 def decode(features: FeatureMap, spec: ModelSpec) -> SegmentationMask:
     """D(f): half-pixel bilinear upsample of per-class scores to full
     resolution, then argmax. Ties resolve to the lowest class index."""
-    if features.channels != spec.num_classes:
-        raise ValueError("feature channel count must equal num_classes")
+    _check_class_count(features.channels)
     h, w = features.height, features.width
     stride = spec.feature_stride
     scores = bilinear(features.data, h * stride, w * stride, half_pixel)

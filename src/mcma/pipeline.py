@@ -134,11 +134,14 @@ class Segmenter:
         else:
             (small, flow), flow_us = _timed(self._flow_stage, frame)
             feats, encode_us = _timed(self._encode, frame)
+        prior = self.state
+        if prior is not None and prior.data.shape != feats.data.shape:
+            raise ValueError(f"feature shape {feats.data.shape} differs from "
+                             f"the state's {prior.data.shape}")
 
-        if self.state is None or self._mode == "baseline":
+        if prior is None or self._mode == "baseline":
             fused = feats
         else:
-            prior = self.state
             if flow is not None:
                 prior, warp_us = _timed(self._warp, prior, flow)
             fused, fuse_us = _timed(ema_fuse, feats, prior, self.cfg.alpha)
@@ -200,7 +203,7 @@ def alpha_sweep(frames: Sequence[Frame], gts, cfg: PipelineConfig,
     and method. ``gts`` holds one mask per frame. Returns rows of
     (alpha, method, miou) aggregated over the whole sequence.
     """
-    from .evaluation import _confusion_counts, _iou_from_counts
+    from .evaluation import pooled_miou
 
     frames = list(frames)
     if not frames:
@@ -211,6 +214,7 @@ def alpha_sweep(frames: Sequence[Frame], gts, cfg: PipelineConfig,
     if alphas is None:
         alphas = [round(0.1 + 0.05 * k, 2) for k in range(17)]
     feats = [encode(f, model_spec) for f in frames]
+    num_classes = feats[0].channels
     small = [downscale_frame(f, cfg.flow_scale) for f in frames]
     flows = [estimate_flow(a, b) for a, b in zip(small, small[1:])]
 
@@ -225,12 +229,8 @@ def alpha_sweep(frames: Sequence[Frame], gts, cfg: PipelineConfig,
                             model_spec,
                             encoder=lambda _: next(replay_feats),
                             flow=lambda prev, curr: next(replay_flows))
-            inter = union = 0
-            for frame, gt in zip(small, gts):
-                mask, _ = seg.push(frame)
-                it, un = _confusion_counts(mask, gt, model_spec.num_classes)
-                inter, union = inter + it, union + un
-            rows.append((alpha, method, _iou_from_counts(inter, union)[0]))
+            masks = (seg.push(frame)[0] for frame in small)
+            rows.append((alpha, method, pooled_miou(masks, gts, num_classes)))
     return rows
 
 

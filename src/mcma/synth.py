@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import (FlowField, Frame, SegmentationMask, write_flow, write_frame,
                    write_mask)
-from .model import ModelSpec, Prototype
+from .model import ModelSpec
 
 MAX_SPEED = 8.0
 NOISE_BLOB_RADIUS = 3
@@ -70,6 +70,9 @@ class SceneSpec:
                 raise ValueError("object class out of range")
         if not 0 <= self.background_class < self.num_classes:
             raise ValueError("background class out of range")
+        if (self.noise_class is not None
+                and not 0 <= self.noise_class < self.num_classes):
+            raise ValueError("noise class out of range")
         if not 0.0 <= self.label_noise_rate <= 1.0:
             raise ValueError("label_noise_rate must be in [0, 1]")
         gx, gy = self.global_velocity
@@ -86,24 +89,19 @@ class SceneSpec:
 
 
 def prototypes_from_scene(spec: SceneSpec) -> list:
-    """Class prototypes (one color per class) for the reference model."""
+    """Class colors for the reference model: entry k is class k's color."""
     colors = {spec.background_class: spec.background_color}
     for obj in spec.objects:
         colors.setdefault(obj.class_id, obj.color)
-    protos = []
-    for cls in range(spec.num_classes):
-        # classes never rendered get an off-palette color
-        color = colors.get(cls, ((255 - 23 * cls) % 256, (23 * cls) % 256, 128))
-        protos.append(Prototype(cls, tuple(color)))
-    return protos
+    # classes never rendered get an off-palette color
+    return [tuple(colors.get(k, ((255 - 23 * k) % 256, (23 * k) % 256, 128)))
+            for k in range(spec.num_classes)]
 
 
-def model_spec_from_scene(spec: SceneSpec, feature_stride: int = 4,
-                          noise_std: float = 0.0, noise_seed: int = 0) -> ModelSpec:
-    return ModelSpec(kind="reference", num_classes=spec.num_classes,
-                     feature_stride=feature_stride,
-                     prototypes=prototypes_from_scene(spec),
-                     noise_std=noise_std, noise_seed=noise_seed)
+def model_spec_from_scene(spec: SceneSpec,
+                          feature_stride: int = 4) -> ModelSpec:
+    return ModelSpec(prototypes=prototypes_from_scene(spec),
+                     feature_stride=feature_stride)
 
 
 def _footprint(obj: SceneObject, offset, xx, yy) -> np.ndarray:
@@ -157,8 +155,8 @@ def generate(spec: SceneSpec):
     noise_cls = spec.default_noise_class()
     noise_color = None
     if spec.label_noise_rate > 0.0:
-        palette = {p.class_id: p.color for p in prototypes_from_scene(spec)}
-        noise_color = np.asarray(palette[noise_cls], np.float64)
+        noise_color = np.asarray(prototypes_from_scene(spec)[noise_cls],
+                                 np.float64)
 
     panning = bool(gdx or gdy)
     out = []
@@ -215,12 +213,6 @@ def generate(spec: SceneSpec):
         flow = FlowField(flow_u.astype(np.float32), flow_v.astype(np.float32))
         out.append((frame, mask, flow))
     return out
-
-
-def motion_profile(flows) -> list:
-    """Per-frame mean ground-truth flow magnitude."""
-    from .flow import mean_flow_magnitude
-    return [mean_flow_magnitude(f) for f in flows]
 
 
 def save_dataset(sequence, outdir, scene_text: Optional[str] = None) -> None:

@@ -11,9 +11,9 @@ import numpy as np
 from scipy import stats
 
 from mcma import (FeatureMap, FlowField, Frame, ModelSpec, PipelineConfig,
-                  Prototype, SceneObject, SceneSpec, Segmenter, alpha_sweep,
-                  ema_fuse, estimate_flow, evaluate_run, fp_rate, generate,
-                  miou, model_spec_from_scene, motion_quantile_partition,
+                  SceneObject, SceneSpec, Segmenter, alpha_sweep, ema_fuse,
+                  estimate_flow, evaluate_run, fp_rate, generate, miou,
+                  model_spec_from_scene, motion_quantile_partition,
                   resize_flow, run, warp_features)
 from mcma.flow import downscale_frame
 from mcma.model import decode, encode
@@ -290,9 +290,8 @@ def test_criterion_7_runtime_structure():
     # overlaps them while the sequential one pays for both
     tiny = [Frame(np.full((16, 16, 3), 90, np.uint8), index=i)
             for i in range(8)]
-    tiny_spec = ModelSpec(num_classes=2, feature_stride=4,
-                          prototypes=[Prototype(0, (90, 90, 90)),
-                                      Prototype(1, (0, 0, 0))])
+    tiny_spec = ModelSpec(prototypes=[(90, 90, 90), (0, 0, 0)],
+                          feature_stride=4)
     dcfg = PipelineConfig(alpha=0.2, num_classes=2, mode="mcma")
 
     def slow_encode(frame):

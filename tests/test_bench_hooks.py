@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import mcma
-from mcma import Frame, ModelSpec, PipelineConfig, Prototype
+from mcma import Frame, ModelSpec, PipelineConfig
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 # hooks that only the command line workload reaches
@@ -42,8 +42,8 @@ def test_traced_run_reaches_every_hook(tracing):
     rng = np.random.default_rng(0)
     frames = [Frame(rng.integers(0, 256, (48, 64, 3)).astype(np.uint8),
                     index=i) for i in range(3)]
-    spec = ModelSpec(num_classes=2, feature_stride=4, prototypes=[
-        Prototype(0, (0, 0, 0)), Prototype(1, (255, 255, 255))])
+    spec = ModelSpec(prototypes=[(0, 0, 0), (255, 255, 255)],
+                     feature_stride=4)
     cfg = PipelineConfig(alpha=0.5, lam=1.0, flow_scale=0.5, mode="mcma")
     tracer = tracing.Tracer(mcma)
     tracer.install()

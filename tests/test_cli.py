@@ -3,7 +3,9 @@ import os
 import numpy as np
 import pytest
 
-from mcma.cli import main, parse_scene_config
+from mcma import model_spec_from_scene, write_features
+from mcma.cli import load_frames, main, parse_scene_config
+from mcma.model import encode, feature_file_path
 
 SCENE = """
 # moving disk over textured background
@@ -108,6 +110,35 @@ class TestRun:
         assert main(common + ["--executor", "par", "--out", str(out_p)]) == 0
         for fname in sorted(out_s.glob("*.pgm")):
             assert fname.read_bytes() == (out_p / fname.name).read_bytes()
+
+    def test_feature_files_match_reference_model(self, dataset, tmp_path):
+        # the class count comes from the files' channel count
+        spec = model_spec_from_scene(parse_scene_config(SCENE))
+        feature_dir = tmp_path / "features"
+        feature_dir.mkdir()
+        for frame in load_frames(dataset / "frames"):
+            write_features(encode(frame, spec),
+                           feature_file_path(feature_dir, frame.index))
+        common = ["run", "--frames", str(dataset / "frames"), "--mode",
+                  "mcma", "--alpha", "0.2", "--flow-scale", "0.5"]
+        out_r = tmp_path / "reference"
+        out_f = tmp_path / "files"
+        assert main(common + ["--out", str(out_r)]) == 0
+        assert main(common + ["--features", str(feature_dir),
+                              "--out", str(out_f)]) == 0
+        masks = sorted(out_r.glob("*.pgm"))
+        assert len(masks) == 12
+        for fname in masks:
+            assert fname.read_bytes() == (out_f / fname.name).read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--frames", "f", "--out", "o"],
+        ["sweep", "--frames", "f", "--gt", "g", "--out", "o"],
+        ["bench", "--frames", "f", "--out", "o"]])
+    def test_classes_is_not_an_option(self, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--classes", "2"])
+        assert err.value.code == 2
 
     def test_missing_frames_dir_exits_1(self, tmp_path):
         assert main(["run", "--frames", str(tmp_path / "nope"),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,6 +45,15 @@ class TestPnm:
     def test_degenerate_dims_rejected(self, tmp_path):
         path = tmp_path / "bad.ppm"
         path.write_bytes(b"P6\n0 0\n255\n")
+        with pytest.raises(FormatError):
+            read_frame(path)
+
+    @pytest.mark.parametrize("header", [b"P5\n1_0 2\n255\n",
+                                        b"P5\n+2 2\n255\n",
+                                        b"P5\n2 2\n2_55\n"])
+    def test_non_decimal_header_rejected(self, tmp_path, header):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(header + bytes(20))
         with pytest.raises(FormatError):
             read_frame(path)
 
@@ -116,6 +127,21 @@ class TestFlowFile:
         with pytest.raises(FormatError):
             read_flow(path)
 
+    @pytest.mark.parametrize("width, height", [(0, 48), (48, 0), (0, 0)])
+    def test_zero_dimension_rejected(self, tmp_path, width, height):
+        path = tmp_path / "f.mcfl"
+        path.write_bytes(b"MCFL" + _u32(width, height))
+        with pytest.raises(FormatError):
+            read_flow(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, tmp_path, value):
+        path = tmp_path / "f.mcfl"
+        path.write_bytes(b"MCFL" + _u32(1, 1)
+                         + np.array([0.0, value], "<f4").tobytes())
+        with pytest.raises(FormatError):
+            read_flow(path)
+
     def test_byte_layout_fixed(self, tmp_path):
         # endianness is pinned: identical input yields identical bytes
         flow = FlowField(np.array([[1.5]], np.float32),
@@ -160,6 +186,14 @@ class TestFeatureFile:
         with pytest.raises(FormatError):
             read_features(path)
 
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (2, 0, 0), (2, 0, 3),
+                                       (2, 3, 0)])
+    def test_zero_dimension_rejected(self, tmp_path, shape):
+        path = tmp_path / "f.mcfe"
+        path.write_bytes(b"MCFE" + _u32(*shape))
+        with pytest.raises(FormatError):
+            read_features(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "f.mcfe"
         path.write_bytes(b"NOPE" + bytes(16))
@@ -182,6 +216,96 @@ def test_serialization_round_trip_property(tmp_path_factory, c, h, w, seed):
     fm = FeatureMap(rng.normal(0, 5, (c, h, w)).astype(np.float32))
     write_features(fm, base / "f.mcfe")
     assert np.array_equal(read_features(base / "f.mcfe").data, fm.data)
+
+
+def _u32(*values):
+    return b"".join((n % 2 ** 32).to_bytes(4, "little") for n in values)
+
+
+# reader fuzzing: every input either parses into an object with no zero
+# dimension or raises FormatError; no other exception may escape
+_DIMS = st.one_of(st.integers(-2, 5), st.sampled_from([2 ** 31, 2 ** 32 - 1]))
+_VALUES = st.sampled_from([0.0, -1.5, 3e38, np.nan, np.inf, -np.inf])
+
+
+def _resize(draw, payload: bytes) -> bytes:
+    """Cut or pad a payload by a few bytes."""
+    delta = draw(st.one_of(st.just(0), st.integers(-9, 9)))
+    return payload[:max(len(payload) + delta, 0)] + bytes(max(delta, 0))
+
+
+@st.composite
+def _binary_file(draw, magic, ndims, per_cell):
+    """An MCFL/MCFE-shaped file: magic, u32 dimensions, float32 payload."""
+    dims = [draw(_DIMS) for _ in range(ndims)]
+    count = math.prod(n % 2 ** 32 for n in dims) * per_cell
+    if count > 4096:  # a huge header gets a short payload
+        count = draw(st.integers(0, 16))
+    values = np.full(count, draw(_VALUES), "<f4")
+    if count:
+        values[draw(st.integers(0, count - 1))] = draw(_VALUES)
+    raw = (draw(st.sampled_from([magic] * 3 + [magic.lower(), b"XXXX", b""]))
+           + _u32(*dims) + _resize(draw, values.tobytes()))
+    if draw(st.integers(0, 3)) == 0:
+        raw = raw[:draw(st.integers(0, len(raw)))]
+    return raw
+
+
+@st.composite
+def _pnm_file(draw):
+    """A PNM-shaped file with odd tokens, comments and payload sizes."""
+    magic = draw(st.sampled_from([b"P5", b"P6"] * 2 + [b"P3", b"PX", b""]))
+    number = st.integers(-3, 7).map(  # 7 stands for a huge dimension
+        lambda n: str(10 ** 12 if n == 7 else n).encode())
+    tokens = [magic, draw(number), draw(number),
+              draw(st.sampled_from([b"255", b"255", b"0", b"65535", b"x"]))]
+    seps = st.sampled_from([b" ", b"\n"] * 4 + [
+        b"\t", b"\r\n", b"\n# c\n", b"#c\n", b" # x 1 2\n", b"\n#", b""])
+    head = b"".join(tok + draw(seps) for tok in tokens[:3]) + tokens[3]
+    head += draw(st.sampled_from([b"\n"] * 4 + [b" \n", b"\n# c\n", b""]))
+    try:
+        count = int(tokens[1]) * int(tokens[2]) * (3 if magic == b"P6" else 1)
+    except ValueError:
+        count = 0
+    if not 0 < count <= 4096:
+        count = draw(st.integers(0, 16))
+    raw = head + _resize(draw, bytes(count))
+    if draw(st.integers(0, 3)) == 0:
+        raw = raw[:draw(st.integers(0, len(raw)))]
+    return raw
+
+
+def _read_fuzzed(tmp_path_factory, raw, reader):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.bin"
+    path.write_bytes(raw)
+    try:
+        return reader(path)
+    except FormatError:
+        return None
+
+
+@given(raw=_pnm_file())
+@settings(max_examples=200, deadline=None)
+def test_read_frame_fuzz(tmp_path_factory, raw):
+    frame = _read_fuzzed(tmp_path_factory, raw, read_frame)
+    if frame is not None:
+        assert min(frame.data.shape) > 0
+
+
+@given(raw=_binary_file(b"MCFL", 2, 2))
+@settings(max_examples=200, deadline=None)
+def test_read_flow_fuzz(tmp_path_factory, raw):
+    flow = _read_fuzzed(tmp_path_factory, raw, read_flow)
+    if flow is not None:
+        assert min(flow.u.shape) > 0
+
+
+@given(raw=_binary_file(b"MCFE", 3, 1))
+@settings(max_examples=200, deadline=None)
+def test_read_features_fuzz(tmp_path_factory, raw):
+    features = _read_fuzzed(tmp_path_factory, raw, read_features)
+    if features is not None:
+        assert min(features.data.shape) > 0
 
 
 class TestPipelineConfig:

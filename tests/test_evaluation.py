@@ -4,6 +4,7 @@ import pytest
 from mcma import (FlowField, SegmentationMask, evaluate_run, fp_rate, miou,
                   motion_in_input_pixels, motion_quantile_partition,
                   report_csv)
+from mcma.evaluation import pooled_miou
 
 
 def mask(arr):
@@ -70,6 +71,17 @@ class TestMiou:
             gt = rng.integers(0, 4, (8, 8))
             got = miou(mask(pred), mask(gt), 4)[0]
             assert got == pytest.approx(brute_miou(pred, gt, 4), abs=1e-12)
+
+    def test_pooled_equals_one_stacked_frame(self, rng):
+        # summing counts over frames is the mIoU of the frames side by side
+        preds = [rng.integers(0, 3, (4, 5)) for _ in range(3)]
+        gts = [rng.integers(0, 3, (4, 5)) for _ in range(3)]
+        got = pooled_miou([mask(p) for p in preds], [mask(g) for g in gts], 3)
+        want = brute_miou(np.hstack(preds), np.hstack(gts), 3)
+        assert got == pytest.approx(want, abs=1e-12)
+        assert np.isnan(pooled_miou([], [], 3))
+        with pytest.raises(ValueError):
+            pooled_miou([mask(preds[0])], [], 3)
 
 
 class TestFpRate:

@@ -1,36 +1,34 @@
 import numpy as np
 import pytest
 
-from mcma import (FeatureMap, Frame, ModelSpec, Prototype, decode, encode,
-                  write_features)
+from mcma import FeatureMap, Frame, ModelSpec, decode, encode, write_features
 from mcma.model import feature_file_path
 
 
-def spec2(noise_std=0.0, stride=4):
-    return ModelSpec(num_classes=2, feature_stride=stride,
-                     prototypes=[Prototype(0, (0, 0, 0)),
-                                 Prototype(1, (255, 255, 255))],
-                     noise_std=noise_std)
+def spec2(stride=4):
+    return ModelSpec(prototypes=[(0, 0, 0), (255, 255, 255)],
+                     feature_stride=stride)
 
 
 class TestSpecValidation:
     def test_prototype_count(self):
-        with pytest.raises(ValueError):
-            ModelSpec(num_classes=3, prototypes=[Prototype(0, (0, 0, 0))])
+        with pytest.raises(ValueError, match=r"\[2, 256\]"):
+            ModelSpec(prototypes=[(0, 0, 0)])
 
     def test_feature_files_needs_dir(self):
+        # the model kind follows from feature_dir: exactly one source
         with pytest.raises(ValueError):
-            ModelSpec(kind="feature-files", num_classes=2)
+            ModelSpec()
+        with pytest.raises(ValueError):
+            ModelSpec(prototypes=[(0, 0, 0), (9, 9, 9)], feature_dir="f")
 
     @pytest.mark.parametrize("num_classes", [1, 257])
     def test_class_count_fits_uint8_labels(self, num_classes):
         with pytest.raises(ValueError, match=r"\[2, 256\]"):
-            ModelSpec(kind="feature-files", num_classes=num_classes,
-                      feature_dir="features")
+            ModelSpec(prototypes=[(k % 256, 0, 0) for k in range(num_classes)])
 
     def test_256_classes_decode_to_top_label(self):
-        spec = ModelSpec(kind="feature-files", num_classes=256,
-                         feature_stride=1, feature_dir="features")
+        spec = ModelSpec(feature_stride=1, feature_dir="features")
         data = np.zeros((256, 2, 2), np.float32)
         data[255] = 1.0
         assert np.all(decode(FeatureMap(data), spec).labels == 255)
@@ -38,9 +36,8 @@ class TestSpecValidation:
 
 class TestEncode:
     def test_prototype_pixel_wins(self):
-        spec = ModelSpec(num_classes=3, feature_stride=1, prototypes=[
-            Prototype(0, (10, 20, 30)), Prototype(1, (200, 100, 0)),
-            Prototype(2, (0, 0, 255))])
+        spec = ModelSpec(feature_stride=1, prototypes=[
+            (10, 20, 30), (200, 100, 0), (0, 0, 255)])
         frame = Frame(np.tile(np.array([200, 100, 0], np.uint8), (4, 4, 1)))
         feats = encode(frame, spec)
         assert np.all(feats.data[1] == 0.0)
@@ -48,8 +45,8 @@ class TestEncode:
 
     def test_mid_gray_symmetry(self):
         frame = Frame(np.full((4, 4, 3), 128, np.uint8))
-        spec = ModelSpec(num_classes=2, feature_stride=1, prototypes=[
-            Prototype(0, (1, 1, 1)), Prototype(1, (255, 255, 255))])
+        spec = ModelSpec(feature_stride=1,
+                         prototypes=[(1, 1, 1), (255, 255, 255)])
         feats = encode(frame, spec)
         assert np.allclose(feats.data[0], feats.data[1])
 
@@ -59,15 +56,6 @@ class TestEncode:
         a = encode(frame, spec2())
         b = encode(frame, spec2())
         assert np.array_equal(a.data, b.data)
-
-    def test_noise_keyed_by_frame_index(self):
-        data = np.full((16, 16, 3), 100, np.uint8)
-        spec = spec2(noise_std=0.05)
-        same = encode(Frame(data, index=3), spec)
-        again = encode(Frame(data, index=3), spec)
-        other = encode(Frame(data, index=4), spec)
-        assert np.array_equal(same.data, again.data)
-        assert not np.array_equal(same.data, other.data)
 
     def test_translation_at_stride_granularity(self):
         rng = np.random.default_rng(5)
@@ -91,14 +79,12 @@ class TestEncode:
         fm = FeatureMap(np.random.default_rng(1).normal(
             0, 1, (2, 4, 4)).astype(np.float32))
         write_features(fm, feature_file_path(tmp_path, 7))
-        spec = ModelSpec(kind="feature-files", num_classes=2,
-                         feature_dir=str(tmp_path))
+        spec = ModelSpec(feature_dir=str(tmp_path))
         frame = Frame(np.zeros((16, 16, 3), np.uint8), index=7)
         assert np.array_equal(encode(frame, spec).data, fm.data)
 
     def test_feature_files_missing(self, tmp_path):
-        spec = ModelSpec(kind="feature-files", num_classes=2,
-                         feature_dir=str(tmp_path))
+        spec = ModelSpec(feature_dir=str(tmp_path))
         with pytest.raises(FileNotFoundError):
             encode(Frame(np.zeros((8, 8, 3), np.uint8), index=0), spec)
 
@@ -107,8 +93,8 @@ class TestDecode:
     def test_dominant_channel(self, rng):
         data = rng.normal(0, 1, (3, 4, 4)).astype(np.float32)
         data[2] += 10.0
-        spec = ModelSpec(num_classes=3, feature_stride=2, prototypes=[
-            Prototype(i, (i, i, i)) for i in range(3)])
+        spec = ModelSpec(feature_stride=2,
+                         prototypes=[(i, i, i) for i in range(3)])
         mask = decode(FeatureMap(data), spec)
         assert np.all(mask.labels == 2)
         assert mask.labels.shape == (8, 8)
@@ -117,21 +103,23 @@ class TestDecode:
         data = np.zeros((4, 3, 3), np.float32)
         data[1] = 5.0
         data[3] = 5.0
-        spec = ModelSpec(num_classes=4, feature_stride=2, prototypes=[
-            Prototype(i, (i, i, i)) for i in range(4)])
+        spec = ModelSpec(feature_stride=2,
+                         prototypes=[(i, i, i) for i in range(4)])
         assert np.all(decode(FeatureMap(data), spec).labels == 1)
 
     def test_constant_features_constant_mask(self):
         data = np.stack([np.full((3, 3), -1.0), np.full((3, 3), 2.0)]).astype(
             np.float32)
         for stride in (1, 2, 4):
-            spec = ModelSpec(num_classes=2, feature_stride=stride, prototypes=[
-                Prototype(0, (0, 0, 0)), Prototype(1, (9, 9, 9))])
+            spec = ModelSpec(feature_stride=stride,
+                             prototypes=[(0, 0, 0), (9, 9, 9)])
             assert np.all(decode(FeatureMap(data), spec).labels == 1)
 
-    def test_channel_count_mismatch(self):
-        with pytest.raises(ValueError):
-            decode(FeatureMap(np.zeros((3, 2, 2), np.float32)), spec2())
+    @pytest.mark.parametrize("channels", [1, 257])
+    def test_channel_count_bound(self, channels):
+        data = np.zeros((channels, 2, 2), np.float32)
+        with pytest.raises(ValueError, match=r"\[2, 256\]"):
+            decode(FeatureMap(data), spec2())
 
     def test_argmax_invariant_to_constant_offset(self, rng):
         data = rng.normal(0, 1, (2, 5, 6)).astype(np.float32)

@@ -4,11 +4,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from mcma import (FlowField, Frame, ModelSpec, PipelineConfig, Prototype,
+from mcma import (FeatureMap, FlowField, Frame, ModelSpec, PipelineConfig,
                   SceneObject, SceneSpec, Segmenter, alpha_sweep,
                   benchmark_report, estimate_flow, generate,
-                  model_spec_from_scene, run)
-from mcma.model import decode, encode
+                  model_spec_from_scene, run, write_features)
+from mcma.model import decode, encode, feature_file_path
 from mcma.pipeline import PipelineError, StageTiming, timings_csv
 
 
@@ -21,9 +21,7 @@ def moving_scene(frames=20, width=128, height=96, seed=2, velocity=(3, 1)):
 
 
 def tiny_model():
-    return ModelSpec(num_classes=2, feature_stride=4,
-                     prototypes=[Prototype(0, (90, 90, 90)),
-                                 Prototype(1, (0, 0, 0))])
+    return ModelSpec(prototypes=[(90, 90, 90), (0, 0, 0)], feature_stride=4)
 
 
 def tiny_frames(n=6):
@@ -90,6 +88,16 @@ class TestRunSequential:
             run(frames, cfg, tiny_model())
         assert err.value.frame_index == 2
 
+    @pytest.mark.parametrize("mode", ["baseline", "ema", "mcma"])
+    def test_feature_channel_change_fails_with_index(self, tmp_path, mode):
+        for j, channels in enumerate((2, 2, 3)):
+            write_features(FeatureMap(np.zeros((channels, 4, 4), np.float32)),
+                           feature_file_path(tmp_path, j))
+        mspec = ModelSpec(feature_dir=str(tmp_path))
+        with pytest.raises(PipelineError) as err:
+            run(tiny_frames(3), PipelineConfig(alpha=0.5, mode=mode), mspec)
+        assert err.value.frame_index == 2
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             run([], PipelineConfig(num_classes=2), tiny_model())
@@ -153,8 +161,7 @@ class TestRunParallel:
             assert t.total_us >= bound - tol
 
     def test_stage_failure_reports_frame(self, tmp_path):
-        mspec = ModelSpec(kind="feature-files", num_classes=2,
-                          feature_dir=str(tmp_path))
+        mspec = ModelSpec(feature_dir=str(tmp_path))
         cfg = PipelineConfig(alpha=0.5, num_classes=2, mode="baseline",
                              executor="parallel")
         with pytest.raises(PipelineError) as err:

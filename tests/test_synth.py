@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from mcma import (SceneObject, SceneSpec, fp_rate, generate,
-                  model_spec_from_scene, motion_profile, save_dataset)
+                  mean_flow_magnitude, model_spec_from_scene,
+                  prototypes_from_scene, save_dataset)
 from mcma.core import read_flow, read_frame, read_mask
 from mcma.model import decode, encode
 
@@ -75,6 +76,17 @@ class TestGenerate:
             inside = mask_curr.labels == 1
             assert np.array_equal(warped[inside], mask_curr.labels[inside])
 
+    def test_prototypes_are_class_colors(self):
+        # entry k is class k's color; an unrendered class gets its own
+        spec = disk_scene(num_classes=3)
+        assert prototypes_from_scene(spec) == [(40, 110, 40), (200, 60, 60),
+                                               (209, 46, 128)]
+
+    @pytest.mark.parametrize("noise_class", [-1, 2])
+    def test_noise_class_out_of_range(self, noise_class):
+        with pytest.raises(ValueError, match="noise class"):
+            disk_scene(noise_class=noise_class, label_noise_rate=0.01)
+
     def test_velocity_limit(self):
         with pytest.raises(ValueError):
             SceneObject("disk", 1, (0, 0, 0), (5, 5), velocity=(9, 0),
@@ -84,7 +96,7 @@ class TestGenerate:
 class TestMotionProfile:
     def test_static_zero(self):
         seq = generate(disk_scene())
-        assert motion_profile([s[2] for s in seq]) == [0.0] * len(seq)
+        assert [mean_flow_magnitude(s[2]) for s in seq] == [0.0] * len(seq)
 
     def test_single_disk_counting_oracle(self):
         spec = disk_scene(objects=[SceneObject(
@@ -94,7 +106,7 @@ class TestMotionProfile:
         for _, mask, flow in seq:
             area = np.count_nonzero(mask.labels == 1)
             expected = 5.0 * area / (spec.width * spec.height)
-            assert motion_profile([flow])[0] == pytest.approx(expected)
+            assert mean_flow_magnitude(flow) == pytest.approx(expected)
 
     def test_two_disjoint_objects(self):
         spec = disk_scene(num_classes=3, objects=[
@@ -107,7 +119,7 @@ class TestMotionProfile:
         a1 = np.count_nonzero(mask.labels == 1)
         a2 = np.count_nonzero(mask.labels == 2)
         expected = (3.0 * a1 + 4.0 * a2) / (spec.width * spec.height)
-        assert motion_profile([flow])[0] == pytest.approx(expected)
+        assert mean_flow_magnitude(flow) == pytest.approx(expected)
 
 
 class TestSaveDataset:
