@@ -8,6 +8,14 @@ Estimation Based on Polynomial Expansion", SCIA 2003). The settings are fixed:
 3 pyramid levels at scale 0.5, a 15-pixel window, 3 iterations per level, and
 a 5x5 expansion neighbourhood with Gaussian sigma 1.1.
 
+``FlowEstimator`` streams: each pushed frame is converted to gray,
+pyramided and polynomial-expanded once, and its per-level expansions are
+kept for the next pair, so a clip costs one expansion per frame and level.
+The expansions are stored, and the displacement solve runs, in float32.
+The solve works in row strips of about 32 KB per array, so that its
+gathers, products and 2x2 solves stay in cache; only the box filter's
+column pass runs over whole arrays.
+
 Convention: the returned field is backward flow on the *current* frame's
 grid. A pixel p of the current frame originates from p + (u(p), v(p)) in the
 previous frame, which is exactly what gather-style warping needs.
@@ -75,25 +83,27 @@ def mean_flow_magnitude(flow: FlowField) -> float:
 # Polynomial expansion
 
 def _expansion_basis():
-    """Separable (x, y) correlation kernels of the basis [1, x, y, x^2, y^2,
-    xy] and the inverse of the metric G = sum_w a(w) b(w) b(w)^T over the
-    Gaussian window, which is the same for every pixel."""
+    """Separable correlation kernels of the basis [1, x, y, x^2, y^2, xy]
+    and the inverse of the metric G = sum_w a(w) b(w) b(w)^T over the
+    Gaussian window, which is the same for every pixel.
+
+    The kernels are three 1-D ones (1, t, t^2 under the Gaussian) and, per
+    basis function, the indices of its x and y kernels among them."""
     n2 = POLY_N // 2
     off = np.arange(-n2, n2 + 1, dtype=np.float64)
     ax = np.exp(-off ** 2 / (2.0 * POLY_SIGMA ** 2))
-    one, lin, sq = ax, off * ax, off ** 2 * ax
-    kernels = ((one, one), (lin, one), (one, lin),
-               (sq, one), (one, sq), (lin, lin))
+    kernels = (ax, off * ax, off ** 2 * ax)
+    pairs = ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1))
 
     wy, wx = np.meshgrid(off, off, indexing="ij")
     weight = np.exp(-(wx ** 2 + wy ** 2) / (2.0 * POLY_SIGMA ** 2))
     basis = np.stack([np.ones_like(wx), wx, wy, wx ** 2, wy ** 2, wx * wy])
     flat = basis.reshape(6, -1)
     metric = (flat * weight.ravel()) @ flat.T
-    return kernels, np.linalg.inv(metric)
+    return kernels, pairs, np.linalg.inv(metric)
 
 
-_KERNELS, _METRIC_INV = _expansion_basis()
+_KERNELS, _PAIRS, _METRIC_INV = _expansion_basis()
 
 
 def polynomial_expansion(gray: Frame | np.ndarray):
@@ -110,10 +120,12 @@ def polynomial_expansion(gray: Frame | np.ndarray):
     else:
         img = np.asarray(gray, np.float64)
 
+    rows = [ndimage.correlate1d(img, k, axis=1, mode="nearest")
+            for k in _KERNELS]
     proj = np.empty((6,) + img.shape)
-    for k, (kx, ky) in enumerate(_KERNELS):
-        tmp = ndimage.correlate1d(img, kx, axis=1, mode="nearest")
-        proj[k] = ndimage.correlate1d(tmp, ky, axis=0, mode="nearest")
+    for k, (kx, ky) in enumerate(_PAIRS):
+        ndimage.correlate1d(rows[kx], _KERNELS[ky], axis=0, mode="nearest",
+                            output=proj[k])
 
     r = np.tensordot(_METRIC_INV, proj, axes=1)
     c, b1, b2, a11, a22, axy = r
@@ -124,13 +136,15 @@ def polynomial_expansion(gray: Frame | np.ndarray):
 # Displacement estimation
 
 def _pyramid(img: np.ndarray):
-    """Fine-to-coarse list of smoothed, shrunken copies."""
+    """Fine-to-coarse list of smoothed, shrunken copies. A level is at least
+    4 pixels on a side unless the finer one is smaller, never larger than
+    the finer one, and the pyramid stops at a level that does not shrink."""
     sigma = 0.5 / PYRAMID_SCALE
     pyr = [img]
     for _ in range(1, PYRAMID_LEVELS):
         prev = pyr[-1]
-        h = max(int(round(prev.shape[0] * PYRAMID_SCALE)), 4)
-        w = max(int(round(prev.shape[1] * PYRAMID_SCALE)), 4)
+        h, w = (min(max(int(round(n * PYRAMID_SCALE)), 4), n)
+                for n in prev.shape)
         if (h, w) == prev.shape:
             break
         smoothed = ndimage.gaussian_filter(prev, sigma, mode="nearest")
@@ -138,69 +152,112 @@ def _pyramid(img: np.ndarray):
     return pyr
 
 
-def _solve_level(expand_cur, expand_prev, u, v):
-    a11c, a12c, a22c, b1c, b2c = expand_cur
-    a11p, a12p, a22p, b1p, b2p = expand_prev
-    h, w = a11c.shape
-    yy, xx = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+def expand(frame: Frame) -> list:
+    """The frame's (a11, a12, a22, b1, b2) expansions at each pyramid level,
+    fine to coarse: everything the solve needs from one frame."""
+    img = to_grayscale(frame).data[:, :, 0].astype(np.float64)
+    return [tuple(a.astype(np.float32) for a in polynomial_expansion(level)[:5])
+            for level in _pyramid(img)]
+
+
+# bytes of one array's row strip: the solve's elementwise work runs strip by
+# strip so its temporaries stay in cache
+_STRIP_BYTES = 32 * 1024
+
+
+def _solve_level(cur, prev, u, v):
+    """ITERATIONS updates of (u, v), in place, at one level. ``cur`` and
+    ``prev`` are the two frames' expansions at that level."""
+    h, w = u.shape
+    rows = max(1, _STRIP_BYTES // (w * u.itemsize))
+    strips = [slice(r, r + rows) for r in range(0, h, rows)]
+    a11c, a12c, a22c, b1c, b2c = cur
+    a11p, a12p, a22p, b1p, b2p = (a.ravel() for a in prev)
+    xx = np.arange(w, dtype=np.float32)
+    yy = np.arange(h, dtype=np.float32)[:, None]
     eps = 1e-9
+    # m11, m12, m22, h1, h2: the normal equations, box-filtered in place
+    m = np.empty((5, h, w), np.float32)
 
     for _ in range(ITERATIONS):
-        sx = np.clip(np.rint(xx + u), 0, w - 1).astype(np.intp)
-        sy = np.clip(np.rint(yy + v), 0, h - 1).astype(np.intp)
-        du = sx - xx
-        dv = sy - yy
+        for s in strips:
+            x = np.clip(np.rint(xx + u[s]), 0, w - 1)
+            y = np.clip(np.rint(yy[s] + v[s]), 0, h - 1)
+            at = y.astype(np.intp) * w + x.astype(np.intp)
+            du = x - xx
+            dv = y - yy[s]
 
-        a11 = 0.5 * (a11c + a11p[sy, sx])
-        a12 = 0.5 * (a12c + a12p[sy, sx])
-        a22 = 0.5 * (a22c + a22p[sy, sx])
-        db1 = a11 * du + a12 * dv - 0.5 * (b1p[sy, sx] - b1c)
-        db2 = a12 * du + a22 * dv - 0.5 * (b2p[sy, sx] - b2c)
+            a11 = 0.5 * (a11c[s] + a11p.take(at))
+            a12 = 0.5 * (a12c[s] + a12p.take(at))
+            a22 = 0.5 * (a22c[s] + a22p.take(at))
+            db1 = a11 * du + a12 * dv - 0.5 * (b1p.take(at) - b1c[s])
+            db2 = a12 * du + a22 * dv - 0.5 * (b2p.take(at) - b2c[s])
 
-        m11 = a11 * a11 + a12 * a12
-        m12 = a12 * (a11 + a22)
-        m22 = a12 * a12 + a22 * a22
-        h1 = a11 * db1 + a12 * db2
-        h2 = a12 * db1 + a22 * db2
-        m11, m12, m22, h1, h2 = (
-            ndimage.uniform_filter(arr, WINDOW, mode="nearest")
-            for arr in (m11, m12, m22, h1, h2))
+            m[0, s] = a11 * a11 + a12 * a12
+            m[1, s] = a12 * (a11 + a22)
+            m[2, s] = a12 * a12 + a22 * a22
+            m[3, s] = a11 * db1 + a12 * db2
+            m[4, s] = a12 * db1 + a22 * db2
 
-        det = m11 * m22 - m12 * m12
-        ok = np.abs(det) > eps
-        safe = np.where(ok, det, 1.0)
-        u = np.where(ok, (m22 * h1 - m12 * h2) / safe, u)
-        v = np.where(ok, (m11 * h2 - m12 * h1) / safe, v)
-    return u, v
+        # the box filter in scipy's axis order: columns over whole arrays,
+        # then rows strip by strip
+        for arr in m:
+            ndimage.uniform_filter1d(arr, WINDOW, axis=0, mode="nearest",
+                                     output=arr)
+        for s in strips:
+            m11, m12, m22, h1, h2 = (
+                ndimage.uniform_filter1d(arr[s], WINDOW, axis=1,
+                                         mode="nearest") for arr in m)
+            det = m11 * m22 - m12 * m12
+            ok = np.abs(det) > eps
+            safe = np.where(ok, det, 1.0)
+            u[s] = np.where(ok, (m22 * h1 - m12 * h2) / safe, u[s])
+            v[s] = np.where(ok, (m11 * h2 - m12 * h1) / safe, v[s])
 
 
-def estimate_flow(prev: Frame, curr: Frame) -> FlowField:
-    """Backward flow on the current frame's grid (see module docstring)."""
-    if (prev.height, prev.width) != (curr.height, curr.width):
+def estimate_flow(prev, curr: Frame, curr_levels=None) -> FlowField:
+    """Backward flow on the current frame's grid (see module docstring).
+
+    ``prev`` is the previous frame or its ``expand`` output; pass the
+    current frame's ``expand`` output as ``curr_levels`` when it is at hand.
+    """
+    if isinstance(prev, Frame):
+        prev = expand(prev)
+    if prev[0][0].shape != (curr.height, curr.width):
         raise ValueError("frames must share dimensions")
-
-    prev_img = to_grayscale(prev).data[:, :, 0].astype(np.float64)
-    curr_img = to_grayscale(curr).data[:, :, 0].astype(np.float64)
+    levels = expand(curr) if curr_levels is None else curr_levels
 
     # solve with image1 = current and image2 = previous so the displacement
     # points from the current grid into the previous frame
-    pyr_cur = _pyramid(curr_img)
-    pyr_prev = _pyramid(prev_img)
-
     u = v = None
-    for level in range(len(pyr_cur) - 1, -1, -1):
-        cur_l, prev_l = pyr_cur[level], pyr_prev[level]
-        h, w = cur_l.shape
+    for cur_l, prev_l in zip(levels[::-1], prev[::-1]):
+        h, w = cur_l[0].shape
         if u is None:
-            u = np.zeros((h, w))
-            v = np.zeros((h, w))
+            u = np.zeros((h, w), np.float32)
+            v = np.zeros((h, w), np.float32)
         else:
-            up = resize_flow(FlowField(u.astype(np.float32),
-                                       v.astype(np.float32)), h, w)
-            u = up.u.astype(np.float64)
-            v = up.v.astype(np.float64)
-        exp_cur = polynomial_expansion(cur_l)[:5]
-        exp_prev = polynomial_expansion(prev_l)[:5]
-        u, v = _solve_level(exp_cur, exp_prev, u, v)
+            up = resize_flow(FlowField(u, v), h, w)
+            u, v = up.u.copy(), up.v.copy()
+        _solve_level(cur_l, prev_l, u, v)
 
-    return FlowField(u.astype(np.float32), v.astype(np.float32))
+    return FlowField(u, v)
+
+
+class FlowEstimator:
+    """Backward flow between consecutive frames of a stream.
+
+    ``push`` takes the next frame (on the flow grid) and returns its flow
+    from the frame pushed before it, or None for the first frame. Each
+    frame is expanded once; the last frame's expansions are kept for the
+    next pair. A push that fails leaves the estimator as it was.
+    """
+
+    def __init__(self):
+        self._prev = None
+
+    def push(self, frame: Frame) -> FlowField | None:
+        levels = expand(frame)
+        flow = (None if self._prev is None
+                else estimate_flow(self._prev, frame, levels))
+        self._prev = levels
+        return flow

@@ -50,14 +50,28 @@ def feature_file_path(feature_dir: str, frame_index: int) -> str:
 
 
 def encode(frame: Frame, spec: ModelSpec) -> FeatureMap:
-    """E(x): frame to (classes, H/stride, W/stride) features."""
+    """E(x): frame to (classes, H/stride, W/stride) features. The frame's
+    sides must be multiples of the stride, and a feature file must hold
+    exactly that grid."""
+    stride = spec.feature_stride
+    if frame.height % stride or frame.width % stride:
+        raise ValueError(f"frame {frame.index}: {frame.width}x{frame.height} "
+                         f"is not a multiple of the stride {stride}")
     if spec.feature_dir is not None:
         path = feature_file_path(spec.feature_dir, frame.index)
         if not os.path.exists(path):
             raise FileNotFoundError(f"missing feature file {path}")
-        return read_features(path)
+        feats = read_features(path)
+        grid = (frame.height // stride, frame.width // stride)
+        if (feats.height, feats.width) != grid:
+            raise ValueError(
+                f"frame {frame.index}: {path} holds {feats.width}x"
+                f"{feats.height} features, but a {frame.width}x"
+                f"{frame.height} frame at stride {stride} needs "
+                f"{grid[1]}x{grid[0]}")
+        return feats
 
-    small = area_mean(frame.data, spec.feature_stride)
+    small = area_mean(frame.data, stride)
 
     chans = np.empty((len(spec.prototypes),) + small.shape[:2], np.float64)
     for k, color in enumerate(spec.prototypes):

@@ -10,17 +10,19 @@ bit-identical masks.
 from __future__ import annotations
 
 import contextlib
+import copy
 import dataclasses
 import io
 import time
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from .core import FeatureMap, FlowField, Frame, PipelineConfig, SegmentationMask
-from .flow import downscale_frame, estimate_flow, resize_flow
+from .flow import FlowEstimator, downscale_frame, resize_flow
 from .fusion import ema_fuse
 from .model import ModelSpec, decode, encode
 from .warping import warp_features
@@ -61,11 +63,15 @@ def _timed(fn, *args):
 class Segmenter:
     """Streaming MCMA: ``push`` one frame, get its mask and stage timings.
 
-    The state is the fused feature map of the previous frame and that
-    frame's copy on the flow grid. ``encoder`` (frame -> features) and
-    ``flow`` (previous, current flow-grid frames -> backward flow) replace
-    the model and the flow estimator; ``pool`` runs the flow stage beside
-    the encoder.
+    The state is the fused feature map of the previous frame and the flow
+    estimator, which keeps what it needs of that frame. ``encoder`` (frame
+    -> features) replaces the model, and ``flow``, an object whose
+    ``push(small)`` takes each flow-grid frame and returns the backward flow
+    from the one before it (None for the first), replaces the
+    ``FlowEstimator``; ``pool`` runs the flow stage beside the encoder.
+    Each frame is pushed to a shallow copy of the estimator that replaces
+    it only when the whole frame succeeds, so an estimator must rebind its
+    state, not mutate it.
 
     Degenerate settings are resolved once: alpha = 1 keeps no history and
     runs as the per-frame baseline, and mcma with lambda = 0 runs as the
@@ -74,11 +80,11 @@ class Segmenter:
 
     def __init__(self, cfg: PipelineConfig, model_spec: ModelSpec, *,
                  encoder: Optional[Callable[[Frame], FeatureMap]] = None,
-                 flow: Optional[Callable[[Frame, Frame], FlowField]] = None,
+                 flow: Optional[FlowEstimator] = None,
                  pool: Optional[Executor] = None):
         self.cfg = cfg
         self._encode = encoder or (lambda frame: encode(frame, model_spec))
-        self._flow = flow or estimate_flow
+        self._flow = flow or FlowEstimator()
         self._decode = lambda fused: decode(fused, model_spec)
         self._pool = pool
         if cfg.alpha == 1.0:
@@ -88,7 +94,6 @@ class Segmenter:
         else:
             self._mode = cfg.mode
         self.state: Optional[FeatureMap] = None
-        self._prev_small: Optional[Frame] = None
         self._size: Optional[tuple] = None
         self._count = 0
 
@@ -106,11 +111,8 @@ class Segmenter:
         self._count += 1
         return mask, timing
 
-    def _flow_stage(self, frame: Frame):
-        small = downscale_frame(frame, self.cfg.flow_scale)
-        if self._prev_small is None:
-            return small, None
-        return small, self._flow(self._prev_small, small)
+    def _flow_stage(self, estimator, frame: Frame) -> Optional[FlowField]:
+        return estimator.push(downscale_frame(frame, self.cfg.flow_scale))
 
     def _warp(self, state: FeatureMap, flow: FlowField) -> FeatureMap:
         flow = resize_flow(flow, state.height, state.width)
@@ -121,18 +123,20 @@ class Segmenter:
         if self._size is not None and size != self._size:
             raise ValueError("frame dimensions changed")
         t_start = _now_us()
-        small = flow = None
+        estimator = copy.copy(self._flow)
+        flow = None
         flow_us = warp_us = fuse_us = 0.0
         if self._mode != "mcma":
             feats, encode_us = _timed(self._encode, frame)
         elif self._pool is not None:
-            pending = self._pool.submit(_timed, self._flow_stage, frame)
+            pending = self._pool.submit(_timed, self._flow_stage, estimator,
+                                        frame)
             try:
                 feats, encode_us = _timed(self._encode, frame)
             finally:
-                (small, flow), flow_us = pending.result()
+                flow, flow_us = pending.result()
         else:
-            (small, flow), flow_us = _timed(self._flow_stage, frame)
+            flow, flow_us = _timed(self._flow_stage, estimator, frame)
             feats, encode_us = _timed(self._encode, frame)
         prior = self.state
         if prior is not None and prior.data.shape != feats.data.shape:
@@ -148,7 +152,7 @@ class Segmenter:
         mask, decode_us = _timed(self._decode, fused)
         total_us = _now_us() - t_start
 
-        self.state, self._prev_small, self._size = fused, small, size
+        self.state, self._flow, self._size = fused, estimator, size
         executor = "sequential" if self._pool is None else "parallel"
         return mask, StageTiming(j, flow_us, encode_us, warp_us, fuse_us,
                                  decode_us, total_us, executor,
@@ -216,7 +220,8 @@ def alpha_sweep(frames: Sequence[Frame], gts, cfg: PipelineConfig,
     feats = [encode(f, model_spec) for f in frames]
     num_classes = feats[0].channels
     small = [downscale_frame(f, cfg.flow_scale) for f in frames]
-    flows = [estimate_flow(a, b) for a, b in zip(small, small[1:])]
+    estimator = FlowEstimator()
+    flows = [estimator.push(f) for f in small]
 
     # the replayed sources ignore the frames they are given, so each push
     # gets the flow-grid copy at flow scale 1, which is not downscaled again
@@ -228,7 +233,8 @@ def alpha_sweep(frames: Sequence[Frame], gts, cfg: PipelineConfig,
                                                 flow_scale=1.0),
                             model_spec,
                             encoder=lambda _: next(replay_feats),
-                            flow=lambda prev, curr: next(replay_flows))
+                            flow=SimpleNamespace(
+                                push=lambda _: next(replay_flows)))
             masks = (seg.push(frame)[0] for frame in small)
             rows.append((alpha, method, pooled_miou(masks, gts, num_classes)))
     return rows

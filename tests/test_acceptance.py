@@ -6,6 +6,7 @@ so the suite can double as a checklist (`pytest -s tests/test_acceptance.py`).
 
 import time
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import stats
@@ -298,13 +299,13 @@ def test_criterion_7_runtime_structure():
         time.sleep(0.010)
         return encode(frame, tiny_spec)
 
-    def slow_flow(prev, curr):
+    def slow_push(small):
         time.sleep(0.010)
-        return FlowField.zeros(curr.height, curr.width)
+        return FlowField.zeros(small.height, small.width)
 
     def delayed(pool):
-        seg = Segmenter(dcfg, tiny_spec, encoder=slow_encode, flow=slow_flow,
-                        pool=pool)
+        seg = Segmenter(dcfg, tiny_spec, encoder=slow_encode,
+                        flow=SimpleNamespace(push=slow_push), pool=pool)
         return [seg.push(frame)[1] for frame in tiny]
 
     ts = delayed(None)

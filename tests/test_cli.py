@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from mcma import model_spec_from_scene, write_features
+from mcma import FeatureMap, model_spec_from_scene, write_features
 from mcma.cli import load_frames, main, parse_scene_config
 from mcma.model import encode, feature_file_path
 
@@ -130,6 +130,19 @@ class TestRun:
         assert len(masks) == 12
         for fname in masks:
             assert fname.read_bytes() == (out_f / fname.name).read_bytes()
+
+    def test_feature_files_of_another_size_rejected(self, dataset, tmp_path,
+                                                    capsys):
+        feature_dir = tmp_path / "features"
+        feature_dir.mkdir()
+        for frame in load_frames(dataset / "frames"):
+            write_features(FeatureMap(np.zeros((2, 3, 3), np.float32)),
+                           feature_file_path(feature_dir, frame.index))
+        code = main(["run", "--frames", str(dataset / "frames"),
+                     "--features", str(feature_dir),
+                     "--out", str(tmp_path / "out")])
+        assert code != 0
+        assert "000000.mcfe" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["run", "--frames", "f", "--out", "o"],

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from mcma import (FlowField, Frame, downscale_frame, estimate_flow,
+import mcma.flow
+from mcma import (FlowEstimator, FlowField, Frame, SceneObject, SceneSpec,
+                  downscale_frame, estimate_flow, generate,
                   mean_flow_magnitude, polynomial_expansion, resize_flow,
                   to_grayscale)
-from mcma.flow import POLY_N, POLY_SIGMA
+from mcma.flow import POLY_N, POLY_SIGMA, PYRAMID_LEVELS, _pyramid
 
 from conftest import shifted_pair, smooth_texture
 
@@ -102,6 +104,89 @@ class TestEstimateFlow:
         b = Frame(np.zeros((8, 10, 1), np.uint8))
         with pytest.raises(ValueError):
             estimate_flow(a, b)
+
+
+def panning_clip(width, height, frames=6):
+    spec = SceneSpec(width=width, height=height, frames=frames, seed=3,
+                     texture_amplitude=10, global_velocity=(1.5, 0.5),
+                     objects=[SceneObject("disk", 1, (200, 60, 60),
+                                          (width / 3, height / 2),
+                                          radius=min(width, height) / 4,
+                                          velocity=(3, 1))])
+    return [s[0] for s in generate(spec)]
+
+
+class TestPyramid:
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 100), (5, 40), (6, 6)])
+    def test_levels_never_grow(self, shape):
+        levels = [lvl.shape for lvl in _pyramid(np.zeros(shape))]
+        for finer, coarser in zip(levels, levels[1:]):
+            assert coarser[0] <= finer[0] and coarser[1] <= finer[1]
+            assert coarser != finer
+
+    @pytest.mark.parametrize("shape", [(8, 8), (8, 400), (17, 33),
+                                       (256, 320)])
+    def test_halving_rule_from_eight_pixels(self, shape):
+        # oracle: halve each side, floored at 4, until a level repeats
+        want = [shape]
+        while len(want) < PYRAMID_LEVELS:
+            nxt = tuple(max(int(round(n * 0.5)), 4) for n in want[-1])
+            if nxt == want[-1]:
+                break
+            want.append(nxt)
+        assert [lvl.shape for lvl in _pyramid(np.zeros(shape))] == want
+
+
+class TestFlowEstimator:
+    @pytest.mark.parametrize("size", [(130, 98), (33, 17)])
+    @pytest.mark.parametrize("scale", [1.0, 0.5, 0.25])
+    @pytest.mark.parametrize("gray", [False, True])
+    def test_stream_equals_pairwise(self, size, scale, gray):
+        frames = [downscale_frame(f, scale) for f in panning_clip(*size)]
+        if gray:
+            frames = [to_grayscale(f) for f in frames]
+        est = FlowEstimator()
+        assert est.push(frames[0]) is None
+        for prev, curr in zip(frames, frames[1:]):
+            got = est.push(curr)
+            want = estimate_flow(prev, curr)
+            assert got.u.tobytes() == want.u.tobytes()
+            assert got.v.tobytes() == want.v.tobytes()
+
+    def test_each_frame_expanded_once(self, monkeypatch):
+        calls = []
+        expand = mcma.flow.polynomial_expansion
+
+        def counting(level):
+            calls.append(level.shape)
+            return expand(level)
+
+        monkeypatch.setattr(mcma.flow, "polynomial_expansion", counting)
+        frames = panning_clip(130, 98)
+        est = FlowEstimator()
+        for frame in frames:
+            est.push(frame)
+        assert len(calls) == 3 * len(frames)
+        calls.clear()
+        estimate_flow(frames[0], frames[1])
+        assert len(calls) == 6
+
+    def test_failed_push_keeps_previous_frame(self, monkeypatch):
+        frames = panning_clip(64, 48, frames=3)
+        est = FlowEstimator()
+        est.push(frames[0])
+
+        def broken(*args):
+            raise RuntimeError("flow unavailable")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(mcma.flow, "estimate_flow", broken)
+            with pytest.raises(RuntimeError):
+                est.push(frames[2])
+        got = est.push(frames[1])
+        want = estimate_flow(frames[0], frames[1])
+        assert got.u.tobytes() == want.u.tobytes()
+        assert got.v.tobytes() == want.v.tobytes()
 
 
 class TestDownscale:

@@ -83,6 +83,23 @@ class TestEncode:
         frame = Frame(np.zeros((16, 16, 3), np.uint8), index=7)
         assert np.array_equal(encode(frame, spec).data, fm.data)
 
+    def test_feature_file_must_match_frame(self, tmp_path):
+        # 3x3 features cannot belong to a 64x48 frame at stride 4
+        write_features(FeatureMap(np.zeros((2, 3, 3), np.float32)),
+                       feature_file_path(tmp_path, 5))
+        spec = ModelSpec(feature_dir=str(tmp_path))
+        frame = Frame(np.zeros((48, 64, 3), np.uint8), index=5)
+        with pytest.raises(ValueError, match=r"frame 5: .*000005\.mcfe"):
+            encode(frame, spec)
+
+    def test_feature_files_frame_not_multiple_of_stride(self, tmp_path):
+        write_features(FeatureMap(np.zeros((2, 4, 4), np.float32)),
+                       feature_file_path(tmp_path, 2))
+        spec = ModelSpec(feature_dir=str(tmp_path))
+        frame = Frame(np.zeros((16, 18, 3), np.uint8), index=2)
+        with pytest.raises(ValueError, match="frame 2: 18x16"):
+            encode(frame, spec)
+
     def test_feature_files_missing(self, tmp_path):
         spec = ModelSpec(feature_dir=str(tmp_path))
         with pytest.raises(FileNotFoundError):

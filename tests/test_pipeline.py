@@ -1,13 +1,17 @@
 import time
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import mcma.flow
+import mcma.pipeline
 from mcma import (FeatureMap, FlowField, Frame, ModelSpec, PipelineConfig,
                   SceneObject, SceneSpec, Segmenter, alpha_sweep,
                   benchmark_report, estimate_flow, generate,
                   model_spec_from_scene, run, write_features)
+from mcma.flow import FlowEstimator
 from mcma.model import decode, encode, feature_file_path
 from mcma.pipeline import PipelineError, StageTiming, timings_csv
 
@@ -36,11 +40,11 @@ def slow_sources(mspec, delay=0.010):
         time.sleep(delay)
         return encode(frame, mspec)
 
-    def flow(prev, curr):
+    def flow(small):
         time.sleep(delay)
-        return FlowField.zeros(curr.height, curr.width)
+        return FlowField.zeros(small.height, small.width)
 
-    return {"encoder": encoder, "flow": flow}
+    return {"encoder": encoder, "flow": SimpleNamespace(push=flow)}
 
 
 def push_all(seg, frames):
@@ -211,13 +215,16 @@ class TestSegmenter:
         mspec = model_spec_from_scene(spec)
         calls = []
 
-        def counting_flow(prev, curr):
-            calls.append(curr.index)
-            return estimate_flow(prev, curr)
+        class CountingFlow(FlowEstimator):
+            def push(self, small):
+                flow = super().push(small)
+                if flow is not None:
+                    calls.append(small.index)
+                return flow
 
         def masks(**kwargs):
             seg = Segmenter(PipelineConfig(num_classes=2, **kwargs), mspec,
-                            flow=counting_flow)
+                            flow=CountingFlow())
             return [m for m, _ in push_all(seg, frames)]
 
         masks(alpha=1.0, mode="mcma")
@@ -254,6 +261,52 @@ class TestSegmenter:
             assert err.value.frame_index == 1
             broken.clear()
             got = [seg.push(f)[0] for f in frames[1:]]
+        for a, b in zip(expected[1:], got):
+            assert np.array_equal(a.labels, b.labels)
+
+
+    @pytest.mark.parametrize("stage", ["flow", "encode", "decode"])
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_failed_push_keeps_flow_estimator(self, stage, parallel,
+                                              monkeypatch):
+        spec = moving_scene(frames=3)
+        frames = [s[0] for s in generate(spec)]
+        mspec = model_spec_from_scene(spec)
+        cfg = PipelineConfig(alpha=0.3, lam=1.0, num_classes=2)
+        expected = [m for m, _ in push_all(Segmenter(cfg, mspec), frames)]
+        flows = []
+        broken = []
+
+        class RecordingFlow(FlowEstimator):
+            def push(self, small):
+                flows.append(super().push(small))
+                return flows[-1]
+
+        def breakable(module, name):
+            fn = getattr(module, name)
+
+            def call(*args):
+                if broken:
+                    raise RuntimeError(f"{name} unavailable")
+                return fn(*args)
+            monkeypatch.setattr(module, name, call)
+
+        breakable(*{"flow": (mcma.flow, "estimate_flow"),
+                    "encode": (mcma.pipeline, "encode"),
+                    "decode": (mcma.pipeline, "decode")}[stage])
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            seg = Segmenter(cfg, mspec, flow=RecordingFlow(),
+                            pool=pool if parallel else None)
+            seg.push(frames[0])
+            broken.append(True)
+            with pytest.raises(PipelineError) as err:
+                seg.push(frames[2])
+            assert err.value.frame_index == 1
+            broken.clear()
+            got = [seg.push(f)[0] for f in frames[1:]]
+        want = estimate_flow(frames[0], frames[1])
+        assert flows[-2].u.tobytes() == want.u.tobytes()
+        assert flows[-2].v.tobytes() == want.v.tobytes()
         for a, b in zip(expected[1:], got):
             assert np.array_equal(a.labels, b.labels)
 
