@@ -59,6 +59,16 @@ def _parse_object(text: str) -> SceneObject:
     return obj
 
 
+# converters of the scalar scene keys; SceneSpec supplies absent ones
+_SCENE_KEYS = {
+    "width": int, "height": int, "num_classes": int, "background_class": int,
+    "background_color": lambda text: _parse_tuple(text, 3, int),
+    "texture_amplitude": float, "label_noise_rate": float,
+    "noise_class": int, "frames": int, "seed": int,
+    "global_velocity": lambda text: _parse_tuple(text, 2),
+}
+
+
 def parse_scene_config(text: str) -> SceneSpec:
     kv = {}
     objects = []
@@ -74,25 +84,11 @@ def parse_scene_config(text: str) -> SceneSpec:
         else:
             kv[key] = val
 
-    spec = SceneSpec(
-        width=int(kv.pop("width", 320)),
-        height=int(kv.pop("height", 256)),
-        num_classes=int(kv.pop("num_classes", 2)),
-        objects=objects,
-        background_class=int(kv.pop("background_class", 0)),
-        background_color=_parse_tuple(kv.pop("background_color", "40,110,40"),
-                                      3, int),
-        texture_amplitude=float(kv.pop("texture_amplitude", 8.0)),
-        label_noise_rate=float(kv.pop("label_noise_rate", 0.0)),
-        noise_class=(int(kv.pop("noise_class"))
-                     if "noise_class" in kv else None),
-        frames=int(kv.pop("frames", 10)),
-        seed=int(kv.pop("seed", 0)),
-        global_velocity=_parse_tuple(kv.pop("global_velocity", "0,0"), 2),
-    )
-    if kv:
-        raise ValueError(f"unknown config keys: {sorted(kv)}")
-    return spec
+    unknown = sorted(set(kv) - set(_SCENE_KEYS))
+    if unknown:
+        raise ValueError(f"unknown config keys: {unknown}")
+    return SceneSpec(objects=objects,
+                     **{key: _SCENE_KEYS[key](val) for key, val in kv.items()})
 
 
 def load_scene(path: str) -> SceneSpec:
@@ -117,7 +113,7 @@ def _load_masks(dirpath):
 
 
 def _model_spec(args, frames_dir) -> ModelSpec:
-    if getattr(args, "features", None):
+    if args.features:
         return ModelSpec(feature_stride=args.stride,
                          feature_dir=args.features)
     scene_path = args.scene or os.path.join(os.path.dirname(

@@ -11,10 +11,8 @@ a 5x5 expansion neighbourhood with Gaussian sigma 1.1.
 ``FlowEstimator`` streams: each pushed frame is converted to gray,
 pyramided and polynomial-expanded once, and its per-level expansions are
 kept for the next pair, so a clip costs one expansion per frame and level.
-The expansions are stored, and the displacement solve runs, in float32.
-The solve works in row strips of about 32 KB per array, so that its
-gathers, products and 2x2 solves stay in cache; only the box filter's
-column pass runs over whole arrays.
+The expansions are stored, and the displacement solve runs over whole
+arrays, in float32.
 
 Convention: the returned field is backward flow on the *current* frame's
 grid. A pixel p of the current frame originates from p + (u(p), v(p)) in the
@@ -106,20 +104,14 @@ def _expansion_basis():
 _KERNELS, _PAIRS, _METRIC_INV = _expansion_basis()
 
 
-def polynomial_expansion(gray: Frame | np.ndarray):
-    """Per-pixel weighted least-squares quadratic fit.
+def polynomial_expansion(img: np.ndarray):
+    """Per-pixel weighted least-squares quadratic fit of a 2-D float64 array.
 
-    Returns (a11, a12, a22, b1, b2, c) arrays: f(p + (x, y)) is approximated
+    Returns (a11, a12, a22, b1, b2) arrays: f(p + (x, y)) is approximated
     by a11 x^2 + 2 a12 xy + a22 y^2 + b1 x + b2 y + c with Gaussian weights of
-    std POLY_SIGMA over a POLY_N x POLY_N neighbourhood.
+    std POLY_SIGMA over a POLY_N x POLY_N neighbourhood. The solve never
+    reads the constant term c, so it is not computed.
     """
-    if isinstance(gray, Frame):
-        if gray.channels != 1:
-            raise ValueError("expansion expects a single-channel frame")
-        img = gray.data[:, :, 0].astype(np.float64)
-    else:
-        img = np.asarray(gray, np.float64)
-
     rows = [ndimage.correlate1d(img, k, axis=1, mode="nearest")
             for k in _KERNELS]
     proj = np.empty((6,) + img.shape)
@@ -127,9 +119,8 @@ def polynomial_expansion(gray: Frame | np.ndarray):
         ndimage.correlate1d(rows[kx], _KERNELS[ky], axis=0, mode="nearest",
                             output=proj[k])
 
-    r = np.tensordot(_METRIC_INV, proj, axes=1)
-    c, b1, b2, a11, a22, axy = r
-    return a11, axy / 2.0, a22, b1, b2, c
+    b1, b2, a11, a22, axy = np.tensordot(_METRIC_INV[1:], proj, axes=1)
+    return a11, axy / 2.0, a22, b1, b2
 
 
 # ---------------------------------------------------------------------------
@@ -156,63 +147,47 @@ def expand(frame: Frame) -> list:
     """The frame's (a11, a12, a22, b1, b2) expansions at each pyramid level,
     fine to coarse: everything the solve needs from one frame."""
     img = to_grayscale(frame).data[:, :, 0].astype(np.float64)
-    return [tuple(a.astype(np.float32) for a in polynomial_expansion(level)[:5])
+    return [tuple(a.astype(np.float32) for a in polynomial_expansion(level))
             for level in _pyramid(img)]
 
 
-# bytes of one array's row strip: the solve's elementwise work runs strip by
-# strip so its temporaries stay in cache
-_STRIP_BYTES = 32 * 1024
-
-
 def _solve_level(cur, prev, u, v):
-    """ITERATIONS updates of (u, v), in place, at one level. ``cur`` and
-    ``prev`` are the two frames' expansions at that level."""
+    """ITERATIONS updates of (u, v) at one level; returns the new (u, v).
+    ``cur`` and ``prev`` are the two frames' expansions at that level."""
     h, w = u.shape
-    rows = max(1, _STRIP_BYTES // (w * u.itemsize))
-    strips = [slice(r, r + rows) for r in range(0, h, rows)]
     a11c, a12c, a22c, b1c, b2c = cur
     a11p, a12p, a22p, b1p, b2p = (a.ravel() for a in prev)
     xx = np.arange(w, dtype=np.float32)
     yy = np.arange(h, dtype=np.float32)[:, None]
     eps = 1e-9
-    # m11, m12, m22, h1, h2: the normal equations, box-filtered in place
-    m = np.empty((5, h, w), np.float32)
+
+    def box(m):
+        return ndimage.uniform_filter(m, WINDOW, mode="nearest")
 
     for _ in range(ITERATIONS):
-        for s in strips:
-            x = np.clip(np.rint(xx + u[s]), 0, w - 1)
-            y = np.clip(np.rint(yy[s] + v[s]), 0, h - 1)
-            at = y.astype(np.intp) * w + x.astype(np.intp)
-            du = x - xx
-            dv = y - yy[s]
+        x = np.clip(np.rint(xx + u), 0, w - 1)
+        y = np.clip(np.rint(yy + v), 0, h - 1)
+        at = y.astype(np.intp) * w + x.astype(np.intp)
+        du = x - xx
+        dv = y - yy
 
-            a11 = 0.5 * (a11c[s] + a11p.take(at))
-            a12 = 0.5 * (a12c[s] + a12p.take(at))
-            a22 = 0.5 * (a22c[s] + a22p.take(at))
-            db1 = a11 * du + a12 * dv - 0.5 * (b1p.take(at) - b1c[s])
-            db2 = a12 * du + a22 * dv - 0.5 * (b2p.take(at) - b2c[s])
+        a11 = 0.5 * (a11c + a11p.take(at))
+        a12 = 0.5 * (a12c + a12p.take(at))
+        a22 = 0.5 * (a22c + a22p.take(at))
+        db1 = a11 * du + a12 * dv - 0.5 * (b1p.take(at) - b1c)
+        db2 = a12 * du + a22 * dv - 0.5 * (b2p.take(at) - b2c)
 
-            m[0, s] = a11 * a11 + a12 * a12
-            m[1, s] = a12 * (a11 + a22)
-            m[2, s] = a12 * a12 + a22 * a22
-            m[3, s] = a11 * db1 + a12 * db2
-            m[4, s] = a12 * db1 + a22 * db2
-
-        # the box filter in scipy's axis order: columns over whole arrays,
-        # then rows strip by strip
-        for arr in m:
-            ndimage.uniform_filter1d(arr, WINDOW, axis=0, mode="nearest",
-                                     output=arr)
-        for s in strips:
-            m11, m12, m22, h1, h2 = (
-                ndimage.uniform_filter1d(arr[s], WINDOW, axis=1,
-                                         mode="nearest") for arr in m)
-            det = m11 * m22 - m12 * m12
-            ok = np.abs(det) > eps
-            safe = np.where(ok, det, 1.0)
-            u[s] = np.where(ok, (m22 * h1 - m12 * h2) / safe, u[s])
-            v[s] = np.where(ok, (m11 * h2 - m12 * h1) / safe, v[s])
+        m11 = box(a11 * a11 + a12 * a12)
+        m12 = box(a12 * (a11 + a22))
+        m22 = box(a12 * a12 + a22 * a22)
+        h1 = box(a11 * db1 + a12 * db2)
+        h2 = box(a12 * db1 + a22 * db2)
+        det = m11 * m22 - m12 * m12
+        ok = np.abs(det) > eps
+        safe = np.where(ok, det, 1.0)
+        u = np.where(ok, (m22 * h1 - m12 * h2) / safe, u)
+        v = np.where(ok, (m11 * h2 - m12 * h1) / safe, v)
+    return u, v
 
 
 def estimate_flow(prev, curr: Frame, curr_levels=None) -> FlowField:
@@ -237,8 +212,8 @@ def estimate_flow(prev, curr: Frame, curr_levels=None) -> FlowField:
             v = np.zeros((h, w), np.float32)
         else:
             up = resize_flow(FlowField(u, v), h, w)
-            u, v = up.u.copy(), up.v.copy()
-        _solve_level(cur_l, prev_l, u, v)
+            u, v = up.u, up.v
+        u, v = _solve_level(cur_l, prev_l, u, v)
 
     return FlowField(u, v)
 

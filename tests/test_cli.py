@@ -3,7 +3,8 @@ import os
 import numpy as np
 import pytest
 
-from mcma import FeatureMap, model_spec_from_scene, write_features
+from mcma import (FeatureMap, SceneSpec, model_spec_from_scene,
+                  write_features)
 from mcma.cli import load_frames, main, parse_scene_config
 from mcma.model import encode, feature_file_path
 
@@ -36,6 +37,9 @@ class TestParseSceneConfig:
         assert spec.width == 128 and spec.frames == 12
         assert spec.objects[0].shape == "disk"
         assert spec.objects[0].velocity == (3.0, 0.0)
+
+    def test_empty_config_is_the_default_scene(self):
+        assert parse_scene_config("") == SceneSpec()
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
@@ -186,12 +190,15 @@ class TestEvalAndSweep:
                          "--flow-scale", "0.5", "--out", str(out)]) == 0
             runs[name] = out
         csv_path = tmp_path / "table.csv"
-        assert main(["eval",
-                     "--pred", f"alpha1={runs['a']}",
-                     "--pred", f"baseline={runs['b']}",
-                     "--gt", str(dataset / "masks"),
-                     "--flows", str(dataset / "flow"),
-                     "--classes", "2", "--out", str(csv_path)]) == 0
+        # the disk moves at constant velocity, so every frame sits on both
+        # motion-quantile boundaries
+        with pytest.warns(UserWarning, match="degenerate motion"):
+            assert main(["eval",
+                         "--pred", f"alpha1={runs['a']}",
+                         "--pred", f"baseline={runs['b']}",
+                         "--gt", str(dataset / "masks"),
+                         "--flows", str(dataset / "flow"),
+                         "--classes", "2", "--out", str(csv_path)]) == 0
         rows = {}
         for line in csv_path.read_text().strip().splitlines()[1:]:
             method, subset, val = line.split(",")

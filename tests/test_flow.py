@@ -50,16 +50,14 @@ def brute_force_expansion(img, y, x, poly_n, poly_sigma):
 
 class TestPolynomialExpansion:
     def test_constant_image(self):
-        img = Frame(np.full((12, 12, 1), 100, np.uint8))
-        a11, a12, a22, b1, b2, c = polynomial_expansion(img)
+        img = np.full((12, 12), 100.0)
         inner = (slice(3, -3), slice(3, -3))
-        for arr in (a11, a12, a22, b1, b2):
+        for arr in polynomial_expansion(img):
             assert np.allclose(arr[inner], 0.0, atol=1e-8)
-        assert np.allclose(c[inner], 100.0, atol=1e-8)
 
     def test_linear_ramp(self):
         ramp = np.tile(np.arange(16, dtype=np.float64), (12, 1))
-        a11, a12, a22, b1, b2, c = polynomial_expansion(ramp)
+        a11, a12, a22, b1, b2 = polynomial_expansion(ramp)
         inner = (slice(3, -3), slice(3, -3))
         assert np.allclose(b1[inner], 1.0, atol=1e-8)
         assert np.allclose(b2[inner], 0.0, atol=1e-8)
@@ -71,7 +69,7 @@ class TestPolynomialExpansion:
         got = polynomial_expansion(img)
         for (y, x) in [(5, 5), (7, 9), (3, 11)]:
             want = brute_force_expansion(img, y, x, POLY_N, POLY_SIGMA)
-            for g, wv in zip(got, want):
+            for g, wv in zip(got, want[:5], strict=True):
                 assert g[y, x] == pytest.approx(wv, abs=1e-6)
 
     def test_single_bright_pixel_finite(self):
@@ -98,6 +96,16 @@ class TestEstimateFlow:
         interior = (slice(m, -m), slice(m, -m))
         epe = np.hypot(flow.u[interior] + dx, flow.v[interior] + dy).mean()
         assert epe < 0.5
+
+    def test_ill_conditioned_everywhere_gives_zero_flow(self):
+        # constant frames: every pixel's 2x2 system is singular, so the
+        # solve keeps the zero initial flow at every level
+        prev = Frame(np.full((23, 37, 1), 60, np.uint8))
+        curr = Frame(np.full((23, 37, 1), 180, np.uint8))
+        est = FlowEstimator()
+        est.push(prev)
+        for flow in (estimate_flow(prev, curr), est.push(curr)):
+            assert not flow.u.any() and not flow.v.any()
 
     def test_dimension_mismatch(self):
         a = Frame(np.zeros((8, 8, 1), np.uint8))
