@@ -16,9 +16,14 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy import ndimage
 
 from .core import FeatureMap, Frame, SegmentationMask, read_features
-from .resample import area_mean, bilinear, half_pixel
+from .resample import area_mean, half_pixel, taps
+
+_FLT_MAX = float(np.finfo(np.float32).max)
+# scores evaluated per chunk of boundary blocks, which bounds their memory
+_CHUNK = 1 << 18
 
 
 def _check_class_count(count: int) -> None:
@@ -83,10 +88,103 @@ def encode(frame: Frame, spec: ModelSpec) -> FeatureMap:
 
 def decode(features: FeatureMap, spec: ModelSpec) -> SegmentationMask:
     """D(f): half-pixel bilinear upsample of per-class scores to full
-    resolution, then argmax. Ties resolve to the lowest class index."""
+    resolution, then argmax. Ties resolve to the lowest class index.
+
+    The labels equal ``argmax(bilinear(f, h * s, w * s, half_pixel))`` bit
+    for bit, but the (classes, h * s, w * s) score stack is never built.
+    A running max over channels gives each feature cell its top class k
+    and its gap g, the top score minus the runner-up. Every pixel of cell
+    (i, j)'s s x s output block interpolates cells of the clamped 3 x 3
+    neighbourhood of (i, j) only. If all nine have top class k and
+    g > delta, the block is labelled k. Every other block is evaluated
+    pixel by pixel with ``bilinear``'s float32 lerps, rows then columns,
+    so it rounds exactly as the full upsample does. Stride 1 is the argmax
+    at feature resolution.
+
+    The margin. Let M = max |score|, u = 2**-24 and eta = 2**-149 (the
+    smallest subnormal). A float32 product is within u |x| + eta / 2 of
+    its exact value x; a sum or difference has no absolute term. So one
+    lerp a + f (b - a), with f in [0, 1] and |a|, |b| <= A, is within
+    (5u + 7u^2) A + eta of the exact (1 - f) a + f b. The row stage has
+    A = M, and the column stage has A = M (1 + 5u + 7u^2) + eta and adds
+    its own error to the rows' errors, which its convex combination does
+    not grow. Each upsampled score is then within
+    eps = (10u + 40u^2) M + 3 eta of the exact bilinear value. For k and
+    any other class c, the exact values differ by a convex combination of
+    the taps' gaps, which is above delta; with delta = 2 eps, rounded up
+    to float32, the float32 score of k stays strictly above c's. g is
+    compared in float32: rounding is monotone, so a rounded gap above
+    delta means an exact one above it. The bound needs every intermediate
+    finite. The column stage subtracts rows that can exceed M by a
+    rounding, so if M > FLT_MAX / 4, every block is a boundary block.
+    """
     _check_class_count(features.channels)
-    h, w = features.height, features.width
+    data = features.data
+    label, top, second = _top_two(data)
     stride = spec.feature_stride
-    scores = bilinear(features.data, h * stride, w * stride, half_pixel)
-    labels = np.argmax(scores, axis=0).astype(np.uint8)
+    if stride == 1:
+        return SegmentationMask(label)
+    h, w = label.shape
+    labels = label.repeat(stride, axis=1).repeat(stride, axis=0)
+
+    m = max(top.max(), -data.min())
+    if m <= _FLT_MAX / 4:
+        key = label.astype(np.int16)
+        key[top - second <= _margin(m)] = -1
+        low = ndimage.minimum_filter(key, 3, mode="nearest")
+        high = ndimage.maximum_filter(key, 3, mode="nearest")
+        boundary = (low != high) | (low < 0)
+    else:
+        boundary = np.ones((h, w), bool)
+    _decode_blocks(data, labels.reshape(h, stride, w, stride),
+                   *np.nonzero(boundary))
     return SegmentationMask(labels)
+
+
+def _margin(m) -> np.float32:
+    """delta = 2 eps = (20u + 80u^2) M + 6 eta, rounded up to float32."""
+    u, eta = 2.0 ** -24, 2.0 ** -149
+    delta = (20 * u + 80 * u * u) * float(m) + 6 * eta
+    return np.nextafter(np.float32(delta), np.float32(np.inf))
+
+
+def _top_two(data: np.ndarray):
+    """Per cell: the top class (lowest index on ties), its score and the
+    runner-up's score, by a running max over channels."""
+    top = data[0].copy()
+    second = np.full_like(top, -np.inf)
+    label = np.zeros(top.shape, np.uint8)
+    higher = np.empty(top.shape, bool)
+    lower = np.empty_like(top)
+    for k in range(1, len(data)):
+        np.greater(data[k], top, out=higher)
+        np.copyto(label, k, where=higher)
+        np.minimum(top, data[k], out=lower)
+        np.maximum(second, lower, out=second)
+        np.maximum(top, data[k], out=top)
+    return label, top, second
+
+
+def _decode_blocks(data, blocks, rows, cols) -> None:
+    """Label the (h, s, w, s) blocks of feature cells (rows, cols) pixel by
+    pixel, with the float32 lerps of ``resample.bilinear``, rows then
+    columns, and their argmax."""
+    c, h, w = data.shape
+    stride = blocks.shape[1]
+    fy, y0, y1 = taps(half_pixel(h * stride, h), h, data.dtype)
+    fx, x0, x1 = taps(half_pixel(w * stride, w), w, data.dtype)
+    flat = data.reshape(c, h * w)
+    offsets = np.arange(stride)
+    step = max(1, _CHUNK // (c * stride * stride))
+    for start in range(0, len(rows), step):
+        r, q = rows[start:start + step], cols[start:start + step]
+        ys = (r[:, None] * stride + offsets)[:, :, None]
+        xs = (q[:, None] * stride + offsets)[:, None, :]
+        row0, row1, col0, col1 = y0[ys] * w, y1[ys] * w, x0[xs], x1[xs]
+        wy, wx = fy[ys], fx[xs]
+        top = flat.take(row0 + col0, axis=1)
+        left = top + wy * (flat.take(row1 + col0, axis=1) - top)
+        top = flat.take(row0 + col1, axis=1)
+        right = top + wy * (flat.take(row1 + col1, axis=1) - top)
+        scores = left + wx * (right - left)
+        blocks[r, :, q] = np.argmax(scores, axis=0)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from mcma.resample import align_corners, area_mean, bilinear, half_pixel
+from mcma.resample import (align_corners, area_mean, bilinear, gather,
+                           half_pixel, taps)
 
 
 def mean_oracle(data, k):
@@ -42,3 +43,30 @@ class TestBilinear:
         for c in range(3):
             assert np.array_equal(out[c], bilinear(data[c], 8, 10, half_pixel))
 
+
+
+def gather_oracle(data, x, y):
+    """The warp sampler read through 2-D fancy indexes."""
+    _, h, w = data.shape
+    fx, x0, x1 = taps(x, w, data.dtype)
+    fy, y0, y1 = taps(y, h, data.dtype)
+    top = data[:, y0, x0]
+    top = top + fx * (data[:, y0, x1] - top)
+    bot = data[:, y1, x0]
+    bot = bot + fx * (data[:, y1, x1] - bot)
+    return top + fy * (bot - top)
+
+
+class TestGather:
+    @pytest.mark.parametrize("shape", [(4, 128, 160), (3, 7, 5), (2, 1, 6),
+                                       (1, 5, 1)])
+    def test_equals_2d_index_formula(self, rng, shape):
+        data = rng.normal(0, 1, shape).astype(np.float32)
+        _, h, w = shape
+        # a margin of 3 pixels on every side is clamped to the border
+        x = rng.uniform(-3, w + 2, (h, w))
+        y = rng.uniform(-3, h + 2, (h, w))
+        x[0, :] = np.round(x[0, :])
+        out = gather(data, x, y)
+        assert out.dtype == np.float32 and out.shape == shape
+        assert out.tobytes() == gather_oracle(data, x, y).tobytes()
