@@ -162,7 +162,10 @@ def _solve_level(cur, prev, u, v):
     eps = 1e-9
 
     def box(m):
-        return ndimage.uniform_filter(m, WINDOW, mode="nearest")
+        # uniform_filter's two passes, in its order, without its set-up
+        out = ndimage.uniform_filter1d(m, WINDOW, axis=0, mode="nearest")
+        return ndimage.uniform_filter1d(out, WINDOW, axis=1, output=out,
+                                        mode="nearest")
 
     for _ in range(ITERATIONS):
         x = np.clip(np.rint(xx + u), 0, w - 1)

@@ -48,6 +48,8 @@ class ModelSpec:
             raise ValueError("give either prototypes or feature_dir")
         if self.feature_dir is None:
             _check_class_count(len(self.prototypes))
+            if any(len(color) != 3 for color in self.prototypes):
+                raise ValueError("each prototype must be an (r, g, b) color")
 
 
 def feature_file_path(feature_dir: str, frame_index: int) -> str:
@@ -76,12 +78,14 @@ def encode(frame: Frame, spec: ModelSpec) -> FeatureMap:
                 f"{grid[1]}x{grid[0]}")
         return feats
 
-    small = area_mean(frame.data, stride)
+    planes = np.moveaxis(area_mean(frame.data, stride), 2, 0)
 
-    chans = np.empty((len(spec.prototypes),) + small.shape[:2], np.float64)
+    chans = np.empty((len(spec.prototypes),) + planes.shape[1:], np.float64)
     for k, color in enumerate(spec.prototypes):
-        color = np.asarray(color, np.float64)
-        dist = np.sum((small - color) ** 2, axis=2)  # gray broadcasts
+        dist = np.zeros(planes.shape[1:])
+        for i, value in enumerate(np.asarray(color, np.float64)):
+            # a gray frame's one plane stands for every component
+            dist += (planes[i % len(planes)] - value) ** 2
         chans[k] = -dist / 255.0 ** 2
     return FeatureMap(chans.astype(np.float32))
 

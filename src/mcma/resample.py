@@ -33,14 +33,26 @@ def taps(pos: np.ndarray, n: int, dtype):
 def area_mean(data: np.ndarray, k: int) -> np.ndarray:
     """Float64 mean of each k x k block of a uint8 (h, w, c) array.
 
-    Rows are summed over contiguous memory first, then column blocks, in
-    integers; exact sums make the result equal to the float64 mean."""
+    The k rows of each block are added slice by slice, then its k columns,
+    one channel at a time so that every add runs along a whole block row.
+    Sums are kept in uint16 when a block's fits and in uint32 otherwise;
+    exact sums make the result equal to the float64 mean."""
     h, w, c = data.shape
     if h % k or w % k:
         raise ValueError(f"{h}x{w} does not divide into {k}x{k} blocks")
-    rows = data.reshape(h // k, k, w * c).sum(axis=1, dtype=np.uint32)
-    blocks = rows.reshape(h // k, w // k, k, c)
-    return sum(blocks[:, :, i] for i in range(k)) / (k * k)
+    acc = np.uint16 if k * k * 255 <= np.iinfo(np.uint16).max else np.uint32
+    rows = data.reshape(h // k, k, w * c)
+    sums = rows[:, 0].astype(acc)
+    for i in range(1, k):
+        sums += rows[:, i]
+    cols = sums.reshape(h // k, w // k, k, c)
+    total = np.empty((h // k, w // k, c), acc)
+    for ch in range(c):
+        out = total[:, :, ch]
+        out[...] = cols[:, :, 0, ch]
+        for i in range(1, k):
+            out += cols[:, :, i, ch]
+    return total / (k * k)
 
 
 def bilinear(data: np.ndarray, out_h: int, out_w: int, coords) -> np.ndarray:

@@ -5,10 +5,20 @@ seeded jitter texture that translates with it, so optical flow stays
 observable (constant-color regions would hit the aperture problem).
 Optional single-frame label noise recolors background pixels toward a
 foreground prototype to create baseline false-positive flicker.
+
+Frames are rendered from 1-D pixel coordinates, because every test is
+separable: a texture index depends on the column or the row alone, a
+rectangle is a column test AND a row test, and a disk adds a column term
+to a row term. Each object is drawn only inside its integer bounding box,
+one pixel wider on each side than rounding could reach, and each noise
+blob is stamped around its center. These are the float64 operations of a
+whole-frame render, so the output is the same to the byte;
+tests/test_synth_exact.py keeps that render as the oracle.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -104,22 +114,23 @@ def model_spec_from_scene(spec: SceneSpec,
                      feature_stride=feature_stride)
 
 
-def _footprint(obj: SceneObject, offset, xx, yy) -> np.ndarray:
-    ox, oy = offset
-    if obj.shape == "rectangle":
-        x0 = obj.position[0] + ox
-        y0 = obj.position[1] + oy
-        return ((xx >= x0) & (xx < x0 + obj.size[0])
-                & (yy >= y0) & (yy < y0 + obj.size[1]))
-    cx = obj.position[0] + ox
-    cy = obj.position[1] + oy
-    return (xx - cx) ** 2 + (yy - cy) ** 2 <= obj.radius ** 2
+def _span(lo: float, hi: float, n: int) -> Tuple[int, int]:
+    """Pixel indices [a, b) around the extent [lo, hi], one pixel wider on
+    each side than rounding could move a float test's boundary, clipped to
+    [0, n). Empty when the extent is not finite: no pixel passes then."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        return 0, 0
+    return max(math.floor(lo) - 1, 0), min(math.ceil(hi) + 2, n)
+
+
+def _tile_index(pos: np.ndarray, n: int) -> np.ndarray:
+    return np.clip(np.rint(pos).astype(np.intp), 0, n - 1)
 
 
 def _tile_lookup(tile: np.ndarray, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
-    iy = np.clip(np.rint(iy).astype(np.intp), 0, tile.shape[0] - 1)
-    ix = np.clip(np.rint(ix).astype(np.intp), 0, tile.shape[1] - 1)
-    return tile[iy, ix]
+    """Tile texels at the nearest (row iy, column ix) of 1-D coordinates."""
+    return (tile.take(_tile_index(iy, tile.shape[0]), axis=0)
+            .take(_tile_index(ix, tile.shape[1]), axis=1))
 
 
 def generate(spec: SceneSpec):
@@ -131,8 +142,8 @@ def generate(spec: SceneSpec):
     surface, zero on static background). Deterministic given the seed.
     """
     h, w = spec.height, spec.width
-    yy, xx = np.meshgrid(np.arange(h, dtype=np.float64),
-                         np.arange(w, dtype=np.float64), indexing="ij")
+    xs = np.arange(w, dtype=np.float64)
+    ys = np.arange(h, dtype=np.float64)
     gdx, gdy = spec.global_velocity
     amp = spec.texture_amplitude
 
@@ -157,6 +168,14 @@ def generate(spec: SceneSpec):
     if spec.label_noise_rate > 0.0:
         noise_color = np.asarray(prototypes_from_scene(spec)[noise_cls],
                                  np.float64)
+        # noise events are small blobs so they survive the encoder's area
+        # averaging; centers are thinned so the per-pixel swap probability
+        # still matches label_noise_rate
+        r = NOISE_BLOB_RADIUS
+        dy, dx = np.mgrid[-r:r + 1, -r:r + 1]
+        disk = dy ** 2 + dx ** 2 <= r ** 2
+        blob_dy, blob_dx = dy[disk], dx[disk]
+        center_rate = spec.label_noise_rate / disk.sum()
 
     panning = bool(gdx or gdy)
     out = []
@@ -165,52 +184,65 @@ def generate(spec: SceneSpec):
         img = np.empty((h, w, 3), np.float64)
         img[:] = np.asarray(spec.background_color, np.float64)
         if amp > 0.0:
-            img += amp * _tile_lookup(bg_tile, xx - gox + anchor_x,
-                                      yy - goy + anchor_y)
+            img += amp * _tile_lookup(bg_tile, xs - gox + anchor_x,
+                                      ys - goy + anchor_y)
         labels = np.full((h, w), spec.background_class, np.uint8)
-        flow_u = np.full((h, w), -gdx if panning else 0.0)
-        flow_v = np.full((h, w), -gdy if panning else 0.0)
+        flow_u = np.full((h, w), -gdx if panning else 0.0, np.float32)
+        flow_v = np.full((h, w), -gdy if panning else 0.0, np.float32)
 
         for obj, tile in zip(spec.objects, obj_tiles):
             ox = obj.position[0] + obj.velocity[0] * j + gox
             oy = obj.position[1] + obj.velocity[1] * j + goy
-            # footprint at the object's frame-j position
-            inside = _footprint(obj, (obj.velocity[0] * j + gox,
-                                      obj.velocity[1] * j + goy), xx, yy)
-            if not inside.any():
-                continue
+            # the footprint's corner or center adds the offset before the
+            # position, the texture origin (ox, oy) after: they can round
+            # differently
+            fx = obj.position[0] + (obj.velocity[0] * j + gox)
+            fy = obj.position[1] + (obj.velocity[1] * j + goy)
             if obj.shape == "rectangle":
-                lx = xx - ox + 1
-                ly = yy - oy + 1
+                x0, x1 = _span(fx, fx + obj.size[0], w)
+                y0, y1 = _span(fy, fy + obj.size[1], h)
             else:
-                lx = xx - (ox - obj.radius) + 1
-                ly = yy - (oy - obj.radius) + 1
+                x0, x1 = _span(fx - obj.radius, fx + obj.radius, w)
+                y0, y1 = _span(fy - obj.radius, fy + obj.radius, h)
+            if x0 >= x1 or y0 >= y1:
+                continue
+            bx, by = xs[x0:x1], ys[y0:y1]
+            if obj.shape == "rectangle":
+                inside = (((by >= fy) & (by < fy + obj.size[1]))[:, None]
+                          & ((bx >= fx) & (bx < fx + obj.size[0]))[None, :])
+                lx = bx - ox + 1
+                ly = by - oy + 1
+            else:
+                inside = (((bx - fx) ** 2)[None, :] + ((by - fy) ** 2)[:, None]
+                          <= obj.radius ** 2)
+                lx = bx - (ox - obj.radius) + 1
+                ly = by - (oy - obj.radius) + 1
             color = np.asarray(obj.color, np.float64)
-            tex = amp * _tile_lookup(tile, lx, ly) if amp > 0.0 else 0.0
-            pix = color + tex if amp > 0.0 else np.broadcast_to(color, img.shape)
-            img[inside] = pix[inside]
-            labels[inside] = obj.class_id
-            flow_u[inside] = -(obj.velocity[0] + gdx)
-            flow_v[inside] = -(obj.velocity[1] + gdy)
+            box = img[y0:y1, x0:x1]
+            if amp > 0.0:
+                box[inside] = (color + amp * _tile_lookup(tile, lx, ly))[inside]
+            else:
+                box[inside] = color
+            labels[y0:y1, x0:x1][inside] = obj.class_id
+            flow_u[y0:y1, x0:x1][inside] = -(obj.velocity[0] + gdx)
+            flow_v[y0:y1, x0:x1][inside] = -(obj.velocity[1] + gdy)
 
         if noise_color is not None:
-            # noise events are small blobs so they survive the encoder's
-            # area averaging; centers are thinned so the per-pixel swap
-            # probability still matches label_noise_rate
-            from scipy import ndimage
-            r = NOISE_BLOB_RADIUS
-            dy, dx = np.mgrid[-r:r + 1, -r:r + 1]
-            disk = dy ** 2 + dx ** 2 <= r ** 2
+            # each center stamps the blob's offsets that land in the frame:
+            # the blob is symmetric, so this is its binary dilation
             rng_noise = np.random.default_rng([spec.seed, 7001, j])
-            centers = rng_noise.random((h, w)) < (spec.label_noise_rate
-                                                  / disk.sum())
-            hits = ndimage.binary_dilation(centers, structure=disk)
+            cy, cx = np.nonzero(rng_noise.random((h, w)) < center_rate)
+            hy = (cy[:, None] + blob_dy).ravel()
+            hx = (cx[:, None] + blob_dx).ravel()
+            keep = (hy >= 0) & (hy < h) & (hx >= 0) & (hx < w)
+            hits = np.zeros((h, w), bool)
+            hits[hy[keep], hx[keep]] = True
             hits &= labels == spec.background_class
             img[hits] = noise_color
 
         frame = Frame(np.rint(np.clip(img, 0, 255)).astype(np.uint8), index=j)
         mask = SegmentationMask(labels)
-        flow = FlowField(flow_u.astype(np.float32), flow_v.astype(np.float32))
+        flow = FlowField(flow_u, flow_v)
         out.append((frame, mask, flow))
     return out
 

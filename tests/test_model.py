@@ -3,6 +3,7 @@ import pytest
 
 from mcma import FeatureMap, Frame, ModelSpec, decode, encode, write_features
 from mcma.model import feature_file_path
+from mcma.resample import area_mean
 
 
 def spec2(stride=4):
@@ -26,6 +27,11 @@ class TestSpecValidation:
     def test_class_count_fits_uint8_labels(self, num_classes):
         with pytest.raises(ValueError, match=r"\[2, 256\]"):
             ModelSpec(prototypes=[(k % 256, 0, 0) for k in range(num_classes)])
+
+    @pytest.mark.parametrize("color", [(0,), (0, 0), (0, 0, 0, 0)])
+    def test_prototypes_are_rgb(self, color):
+        with pytest.raises(ValueError, match="r, g, b"):
+            ModelSpec(prototypes=[(9, 9, 9), color])
 
     def test_256_classes_decode_to_top_label(self):
         spec = ModelSpec(feature_stride=1, feature_dir="features")
@@ -70,6 +76,22 @@ class TestEncode:
         a = encode(Frame(gray), spec2())
         b = encode(Frame(np.repeat(gray, 3, axis=2)), spec2())
         assert np.array_equal(a.data, b.data)
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("stride", range(1, 9))
+    @pytest.mark.parametrize("num_classes", [2, 5, 256])
+    def test_equals_summed_distance_formula(self, rng, channels, stride,
+                                            num_classes):
+        frame = Frame(rng.integers(0, 256, (5 * stride, 7 * stride, channels))
+                      .astype(np.uint8))
+        spec = ModelSpec(feature_stride=stride, prototypes=[
+            tuple(int(v) for v in c)
+            for c in rng.integers(0, 256, (num_classes, 3))])
+        small = area_mean(frame.data, stride)
+        want = np.stack([
+            -np.sum((small - np.asarray(c, np.float64)) ** 2, axis=2)
+            / 255.0 ** 2 for c in spec.prototypes]).astype(np.float32)
+        assert encode(frame, spec).data.tobytes() == want.tobytes()
 
     def test_size_not_divisible_by_stride(self):
         with pytest.raises(ValueError):

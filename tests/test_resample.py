@@ -26,6 +26,14 @@ class TestAreaMean:
         assert np.array_equal(area_mean(data, 32), mean_oracle(data, 32))
         assert np.all(area_mean(data, 32) == 255.0)
 
+    @pytest.mark.parametrize("k", [16, 17])
+    def test_full_blocks_at_the_16_bit_limit(self, k):
+        # 16 x 16 x 255 = 65280 is the largest block sum a uint16 holds;
+        # 17 x 17 x 255 = 73695 needs the 32-bit accumulator
+        data = np.full((2 * k, 3 * k, 3), 255, np.uint8)
+        assert np.array_equal(area_mean(data, k), mean_oracle(data, k))
+        assert np.all(area_mean(data, k) == 255.0)
+
     def test_non_multiple_rejected(self):
         with pytest.raises(ValueError):
             area_mean(np.zeros((10, 12, 3), np.uint8), 4)
