@@ -71,7 +71,9 @@ class Segmenter:
     ``FlowEstimator``; ``pool`` runs the flow stage beside the encoder.
     Each frame is pushed to a shallow copy of the estimator that replaces
     it only when the whole frame succeeds, so an estimator must rebind its
-    state, not mutate it.
+    state, not mutate it. The copy shares ``FlowEstimator``'s scratch
+    block, which holds no state, but not its kept expansions; with a pool,
+    one flow stage runs at a time, so the block never serves two threads.
 
     Degenerate settings are resolved once: alpha = 1 keeps no history and
     runs as the per-frame baseline, and mcma with lambda = 0 runs as the

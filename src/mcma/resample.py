@@ -62,10 +62,18 @@ def bilinear(data: np.ndarray, out_h: int, out_w: int, coords) -> np.ndarray:
         return data
     fy, y0, y1 = taps(coords(out_h, in_h), in_h, data.dtype)
     fx, x0, x1 = taps(coords(out_w, in_w), in_w, data.dtype)
+    # each lerp a + f * (b - a) runs in place on the b it allocates
     top = data.take(y0, axis=-2)
-    rows = top + fy[:, None] * (data.take(y1, axis=-2) - top)
+    rows = data.take(y1, axis=-2)
+    rows -= top
+    rows *= fy[:, None]
+    rows += top
     left = rows.take(x0, axis=-1)
-    return left + fx * (rows.take(x1, axis=-1) - left)
+    out = rows.take(x1, axis=-1)
+    out -= left
+    out *= fx
+    out += left
+    return out
 
 
 def gather(data: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:

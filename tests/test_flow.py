@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -165,9 +167,9 @@ class TestFlowEstimator:
         calls = []
         expand = mcma.flow.polynomial_expansion
 
-        def counting(level):
+        def counting(level, *rest):
             calls.append(level.shape)
-            return expand(level)
+            return expand(level, *rest)
 
         monkeypatch.setattr(mcma.flow, "polynomial_expansion", counting)
         frames = panning_clip(130, 98)
@@ -178,6 +180,36 @@ class TestFlowEstimator:
         calls.clear()
         estimate_flow(frames[0], frames[1])
         assert len(calls) == 6
+
+    def test_kept_results_do_not_alias_scratch(self):
+        # every result outlives the pushes that reuse the estimator's block
+        frames = panning_clip(320, 256, frames=7)
+        est = FlowEstimator()
+        flows = [est.push(frame) for frame in frames[:6]]
+        for prev, curr, got in zip(frames, frames[1:6], flows[1:]):
+            want = estimate_flow(prev, curr)
+            assert got.u.tobytes() == want.u.tobytes()
+            assert got.v.tobytes() == want.v.tobytes()
+        # the kept expansions survived those pairwise calls too
+        got = est.push(frames[6])
+        want = estimate_flow(frames[5], frames[6])
+        assert got.u.tobytes() == want.u.tobytes()
+        assert got.v.tobytes() == want.v.tobytes()
+
+    def test_push_allocates_no_large_temporaries(self):
+        # after warm-up a 320x256 push allocates its kept expansions, its
+        # flow and small transients; the scratch block is reused
+        frames = panning_clip(320, 256, frames=3)
+        est = FlowEstimator()
+        est.push(frames[0])
+        est.push(frames[1])
+        tracemalloc.start()
+        try:
+            est.push(frames[2])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6e6
 
     def test_failed_push_keeps_previous_frame(self, monkeypatch):
         frames = panning_clip(64, 48, frames=3)
