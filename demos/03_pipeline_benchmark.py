@@ -2,8 +2,11 @@
 
 Runs the full pipeline (flow -> encode -> warp -> fuse -> decode) over a
 synthetic clip at two flow resolutions and with both executors, then prints
-the per-stage latency summary. The parallel executor overlaps the flow and
-encode stages, which matters once either stage dominates the frame budget.
+the per-stage latency summary. The parallel executor computes each frame's
+flow on a worker thread, one frame ahead, while the calling thread encodes,
+warps, fuses and decodes the frame before it; its total per frame is the
+caller's wall time from one mask to the next, so the flow row shows work
+that the parallel total no longer waits for.
 """
 
 from mcma import (PipelineConfig, SceneObject, SceneSpec, benchmark_report,

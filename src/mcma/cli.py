@@ -103,9 +103,13 @@ def _sorted_paths(dirpath, suffix):
     return [os.path.join(dirpath, n) for n in names]
 
 
+def _read_frames(paths):
+    """The frames at ``paths``, each read when it is asked for."""
+    return (read_frame(path, index=i) for i, path in enumerate(paths))
+
+
 def load_frames(dirpath):
-    return [read_frame(path, index=i)
-            for i, path in enumerate(_sorted_paths(dirpath, ".ppm"))]
+    return list(_read_frames(_sorted_paths(dirpath, ".ppm")))
 
 
 def _load_masks(dirpath):
@@ -140,7 +144,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    frames = load_frames(args.frames)
+    # read as the run goes: on the parallel executor, frame t+1 is read
+    # while the worker computes flow
+    frames = _read_frames(_sorted_paths(args.frames, ".ppm"))
     cfg = PipelineConfig(alpha=args.alpha, lam=getattr(args, "lambda"),
                          flow_scale=args.flow_scale,
                          executor={"seq": "sequential",

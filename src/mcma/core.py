@@ -194,10 +194,23 @@ def _read_pnm_tokens(buf: bytes, count: int):
     return tokens, i + 1
 
 
-def read_frame(path, index: int = 0) -> Frame:
-    """Read a binary PPM (P6, RGB) or PGM (P5, gray) file."""
+def _parse_file(path, parse, *args):
+    """``parse(buf, *args)`` over the file's bytes; a FormatError it raises
+    is raised again naming the file."""
     with open(path, "rb") as fh:
         buf = fh.read()
+    try:
+        return parse(buf, *args)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
+def read_frame(path, index: int = 0) -> Frame:
+    """Read a binary PPM (P6, RGB) or PGM (P5, gray) file."""
+    return _parse_file(path, _parse_pnm, index)
+
+
+def _parse_pnm(buf: bytes, index: int) -> Frame:
     tokens, off = _read_pnm_tokens(buf, 4)
     magic = tokens[0]
     if magic == b"P6":
@@ -233,7 +246,7 @@ def read_mask(path) -> SegmentationMask:
     """Masks are stored as PGM with the label index as gray value."""
     frame = read_frame(path)
     if frame.channels != 1:
-        raise FormatError("mask files must be single-channel PGM")
+        raise FormatError(f"{path}: mask files must be single-channel PGM")
     return SegmentationMask(frame.data[:, :, 0].copy())
 
 
@@ -255,8 +268,10 @@ def write_flow(flow: FlowField, path) -> None:
 
 
 def read_flow(path) -> FlowField:
-    with open(path, "rb") as fh:
-        buf = fh.read()
+    return _parse_file(path, _parse_flow)
+
+
+def _parse_flow(buf: bytes) -> FlowField:
     if buf[:4] != FLOW_MAGIC:
         raise FormatError("bad magic for flow file")
     if len(buf) < 12:
@@ -283,8 +298,10 @@ def write_features(features: FeatureMap, path) -> None:
 
 
 def read_features(path) -> FeatureMap:
-    with open(path, "rb") as fh:
-        buf = fh.read()
+    return _parse_file(path, _parse_features)
+
+
+def _parse_features(buf: bytes) -> FeatureMap:
     if buf[:4] != FEATURE_MAGIC:
         raise FormatError("bad magic for feature file")
     if len(buf) < 16:

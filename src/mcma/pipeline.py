@@ -1,20 +1,24 @@
 """Streaming segmentation: one recurrence per frame, plus timing.
 
-``Segmenter.push`` is the only place the recurrence runs: flow, encode,
-warp, fuse and decode for one frame. With an executor pool, optical flow and
-the encoder forward pass of the same frame run concurrently; everything
-downstream of the fused state stays strictly ordered, so both schedules give
+``Segmenter._step`` is the only place the recurrence runs: flow, encode,
+warp, fuse and decode for one frame. ``Segmenter.push`` computes a frame's
+flow inline. ``Segmenter.stream`` on the parallel executor runs flow one
+frame ahead on one worker thread: each frame is read and downscaled on the
+calling thread as it arrives, and its ``FlowEstimator.push`` runs on the
+worker while the caller encodes, warps, fuses and decodes the frame before
+it. Flow never reads the model's output, and everything downstream of it
+stays strictly ordered on the calling thread, so both schedules give
 bit-identical masks.
 """
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import dataclasses
+import functools
 import io
 import time
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Iterable, List, Optional, Sequence
@@ -44,9 +48,15 @@ class StageTiming:
 
 
 class PipelineError(RuntimeError):
-    def __init__(self, frame_index: int, cause: Exception):
-        super().__init__(f"pipeline failed at frame {frame_index}: {cause}")
+    """Frame ``frame_index`` (its position in the stream) failed in
+    ``stage``: one of STAGES, or "input" for a frame whose size differs
+    from the first frame's."""
+
+    def __init__(self, frame_index: int, stage: str, cause: Exception):
+        super().__init__(
+            f"pipeline failed at frame {frame_index} ({stage}): {cause}")
         self.frame_index = frame_index
+        self.stage = stage
         self.cause = cause
 
 
@@ -60,35 +70,56 @@ def _timed(fn, *args):
     return out, _now_us() - t0
 
 
+def _push_copy(base, small: Frame):
+    """Push ``small`` to a shallow copy of ``base``: an estimator, or the
+    future of the previous frame's push, which the one worker has already
+    run. Returns (estimator, flow, push_us)."""
+    if isinstance(base, Future):
+        base = base.result()[0]
+    estimator = copy.copy(base)
+    flow, push_us = _timed(estimator.push, small)
+    return estimator, flow, push_us
+
+
+def _collect(pending: Future, downscale_us: float):
+    estimator, flow, push_us = pending.result()
+    return estimator, flow, downscale_us + push_us
+
+
 class Segmenter:
-    """Streaming MCMA: ``push`` one frame, get its mask and stage timings.
+    """Streaming MCMA: ``push`` one frame, or ``stream`` a clip, and get
+    each mask with its stage timings.
 
     The state is the fused feature map of the previous frame and the flow
     estimator, which keeps what it needs of that frame. ``encoder`` (frame
     -> features) replaces the model, and ``flow``, an object whose
     ``push(small)`` takes each flow-grid frame and returns the backward flow
     from the one before it (None for the first), replaces the
-    ``FlowEstimator``; ``pool`` runs the flow stage beside the encoder.
-    Each frame is pushed to a shallow copy of the estimator that replaces
-    it only when the whole frame succeeds, so an estimator must rebind its
-    state, not mutate it. The copy shares ``FlowEstimator``'s scratch
-    block, which holds no state, but not its kept expansions; with a pool,
-    one flow stage runs at a time, so the block never serves two threads.
+    ``FlowEstimator``.
+
+    A frame that fails raises PipelineError naming its position in the
+    stream and the stage, and leaves the state and the estimator as the
+    frame before it left them: each frame is pushed to a shallow copy of
+    the estimator that replaces it only when the whole frame succeeds, so
+    an estimator must rebind its state, not mutate it. The copy shares
+    ``FlowEstimator``'s scratch block, which holds no state, but not its
+    kept expansions. ``stream`` on the parallel executor pushes every copy
+    on its one worker thread, one frame at a time, so the block never
+    serves two threads; do not ``push`` while such a stream is open.
 
     Degenerate settings are resolved once: alpha = 1 keeps no history and
     runs as the per-frame baseline, and mcma with lambda = 0 runs as the
-    plain EMA, so neither computes flow that would be discarded.
+    plain EMA, so neither computes flow that would be discarded; ``stream``
+    runs them on the calling thread alone, whatever the executor.
     """
 
     def __init__(self, cfg: PipelineConfig, model_spec: ModelSpec, *,
                  encoder: Optional[Callable[[Frame], FeatureMap]] = None,
-                 flow: Optional[FlowEstimator] = None,
-                 pool: Optional[Executor] = None):
+                 flow: Optional[FlowEstimator] = None):
         self.cfg = cfg
         self._encode = encoder or (lambda frame: encode(frame, model_spec))
         self._flow = flow or FlowEstimator()
         self._decode = lambda fused: decode(fused, model_spec)
-        self._pool = pool
         if cfg.alpha == 1.0:
             self._mode = "baseline"
         elif cfg.mode == "mcma" and cfg.lam == 0.0:
@@ -100,81 +131,137 @@ class Segmenter:
         self._count = 0
 
     def push(self, frame: Frame):
-        """Segment the next frame; returns (mask, StageTiming).
+        """Segment the next frame, its flow computed inline; returns
+        (mask, StageTiming)."""
+        return self._step(frame, _now_us(),
+                          functools.partial(self._inline_flow, frame),
+                          "sequential")
 
-        Any failure is raised as PipelineError naming the frame's position
-        in the stream, and leaves the state as it was.
+    def stream(self, frames: Iterable[Frame]):
+        """Segment ``frames`` in order, reading each only when it is due;
+        yields (mask, StageTiming) per frame.
+
+        On the parallel executor, frame t+1 is read and downscaled, and its
+        flow handed to a worker thread, before frame t is encoded, so the
+        flow runs beside frame t's model work. ``total_us`` is the wall
+        time from the previous mask (or the start) to this one, so a
+        stream's totals add up to its wall time. The worker is shut down
+        when the stream ends, fails or is closed.
         """
-        j = self._count
-        try:
-            mask, timing = self._step(frame, j)
-        except Exception as exc:
-            raise PipelineError(j, exc) from exc
-        self._count += 1
-        return mask, timing
+        if self.cfg.executor == "parallel" and self._mode == "mcma":
+            yield from self._stream_ahead(iter(frames))
+            return
+        mark = _now_us()
+        for frame in frames:
+            mask, timing = self._step(
+                frame, mark, functools.partial(self._inline_flow, frame),
+                self.cfg.executor)
+            mark += timing.total_us
+            yield mask, timing
 
-    def _flow_stage(self, estimator, frame: Frame) -> Optional[FlowField]:
-        return estimator.push(downscale_frame(frame, self.cfg.flow_scale))
+    def _stream_ahead(self, frames):
+        pool = ThreadPoolExecutor(max_workers=1)
+        try:
+            mark = _now_us()
+            frame = next(frames, None)
+            pending = (None if frame is None
+                       else self._submit(pool, frame, self._flow))
+            while frame is not None:
+                try:
+                    ahead, unread = next(frames, None), None
+                except Exception as exc:  # frame t+1's, raised after mask t
+                    ahead, unread = None, exc
+                following = (None if ahead is None
+                             else self._submit(pool, ahead, pending[0]))
+                mask, timing = self._step(
+                    frame, mark, functools.partial(_collect, *pending),
+                    "parallel")
+                mark += timing.total_us
+                yield mask, timing
+                if unread is not None:
+                    raise unread
+                frame, pending = ahead, following
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+    def _submit(self, pool, frame: Frame, base):
+        """Downscale ``frame`` here and push it on the worker to a copy of
+        ``base`` (see _push_copy); returns (future, downscale_us). A failed
+        downscale becomes the future's exception, raised at its frame."""
+        try:
+            small, downscale_us = _timed(downscale_frame, frame,
+                                         self.cfg.flow_scale)
+        except Exception as exc:
+            failed = Future()
+            failed.set_exception(exc)
+            return failed, 0.0
+        return pool.submit(_push_copy, base, small), downscale_us
+
+    def _inline_flow(self, frame: Frame):
+        """The frame's flow stage on the calling thread."""
+        small, downscale_us = _timed(downscale_frame, frame,
+                                     self.cfg.flow_scale)
+        estimator, flow, push_us = _push_copy(self._flow, small)
+        return estimator, flow, downscale_us + push_us
 
     def _warp(self, state: FeatureMap, flow: FlowField) -> FeatureMap:
         flow = resize_flow(flow, state.height, state.width)
         return warp_features(state, flow, self.cfg.lam)
 
-    def _step(self, frame: Frame, j: int):
-        size = (frame.height, frame.width)
-        if self._size is not None and size != self._size:
-            raise ValueError("frame dimensions changed")
-        t_start = _now_us()
-        estimator = copy.copy(self._flow)
-        flow = None
-        flow_us = warp_us = fuse_us = 0.0
-        if self._mode != "mcma":
+    def _step(self, frame: Frame, t_start: float, flow_stage, executor: str):
+        """Run one frame; ``flow_stage()`` returns (estimator, flow,
+        flow_us) and is called only where the settings need flow."""
+        j = self._count
+        stage = "input"
+        try:
+            size = (frame.height, frame.width)
+            if self._size is not None and size != self._size:
+                raise ValueError("frame dimensions changed")
+            estimator, flow, flow_us = self._flow, None, 0.0
+            if self._mode == "mcma":
+                stage = "flow"
+                estimator, flow, flow_us = flow_stage()
+            stage = "encode"
             feats, encode_us = _timed(self._encode, frame)
-        elif self._pool is not None:
-            pending = self._pool.submit(_timed, self._flow_stage, estimator,
-                                        frame)
-            try:
-                feats, encode_us = _timed(self._encode, frame)
-            finally:
-                flow, flow_us = pending.result()
-        else:
-            flow, flow_us = _timed(self._flow_stage, estimator, frame)
-            feats, encode_us = _timed(self._encode, frame)
-        prior = self.state
-        if prior is not None and prior.data.shape != feats.data.shape:
-            raise ValueError(f"feature shape {feats.data.shape} differs from "
-                             f"the state's {prior.data.shape}")
+            prior = self.state
+            if prior is not None and prior.data.shape != feats.data.shape:
+                raise ValueError(f"feature shape {feats.data.shape} differs "
+                                 f"from the state's {prior.data.shape}")
 
-        if prior is None or self._mode == "baseline":
-            fused = feats
-        else:
-            if flow is not None:
-                prior, warp_us = _timed(self._warp, prior, flow)
-            fused, fuse_us = _timed(ema_fuse, feats, prior, self.cfg.alpha)
-        mask, decode_us = _timed(self._decode, fused)
+            warp_us = fuse_us = 0.0
+            if prior is None or self._mode == "baseline":
+                fused = feats
+            else:
+                if flow is not None:
+                    stage = "warp"
+                    prior, warp_us = _timed(self._warp, prior, flow)
+                stage = "fuse"
+                fused, fuse_us = _timed(ema_fuse, feats, prior,
+                                        self.cfg.alpha)
+            stage = "decode"
+            mask, decode_us = _timed(self._decode, fused)
+        except Exception as exc:
+            raise PipelineError(j, stage, exc) from exc
         total_us = _now_us() - t_start
 
         self.state, self._flow, self._size = fused, estimator, size
-        executor = "sequential" if self._pool is None else "parallel"
+        self._count += 1
         return mask, StageTiming(j, flow_us, encode_us, warp_us, fuse_us,
                                  decode_us, total_us, executor,
                                  self.cfg.flow_scale)
 
 
 def run(frames: Iterable[Frame], cfg: PipelineConfig, model_spec: ModelSpec):
-    """Segment a clip on ``cfg.executor``; returns (masks, timings)."""
-    masks: List[SegmentationMask] = []
-    timings: List[StageTiming] = []
-    parallel = cfg.executor == "parallel"
-    with (ThreadPoolExecutor(max_workers=1) if parallel
-          else contextlib.nullcontext()) as pool:
-        seg = Segmenter(cfg, model_spec, pool=pool)
-        for frame in frames:
-            mask, timing = seg.push(frame)
-            masks.append(mask)
-            timings.append(timing)
-    if not masks:
+    """Segment a clip on ``cfg.executor``; returns (masks, timings).
+
+    ``frames`` may be any iterable; each frame is read only when the
+    stream reaches it (see Segmenter.stream).
+    """
+    results = list(Segmenter(cfg, model_spec).stream(frames))
+    if not results:
         raise ValueError("need at least one frame")
+    masks: List[SegmentationMask] = [mask for mask, _ in results]
+    timings: List[StageTiming] = [timing for _, timing in results]
     return masks, timings
 
 

@@ -4,8 +4,8 @@ Each test covers one release criterion and prints a single PASS/FAIL line
 so the suite can double as a checklist (`pytest -s tests/test_acceptance.py`).
 """
 
+import dataclasses
 import time
-from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -289,8 +289,9 @@ def test_criterion_7_runtime_structure():
     equal = masks_equal(run(frames, cfg, mspec)[0],
                         run(frames, par_cfg, mspec)[0])
 
-    # with 10 ms injected into flow and encode, the parallel executor
-    # overlaps them while the sequential one pays for both
+    # with 10 ms injected into flow and encode, the parallel executor runs
+    # each frame's flow beside the frame before it while the sequential one
+    # pays for both
     tiny = [Frame(np.full((16, 16, 3), 90, np.uint8), index=i)
             for i in range(8)]
     tiny_spec = ModelSpec(prototypes=[(90, 90, 90), (0, 0, 0)],
@@ -305,14 +306,14 @@ def test_criterion_7_runtime_structure():
         time.sleep(0.010)
         return FlowField.zeros(small.height, small.width)
 
-    def delayed(pool):
-        seg = Segmenter(dcfg, tiny_spec, encoder=slow_encode,
-                        flow=SimpleNamespace(push=slow_push), pool=pool)
-        return [seg.push(frame)[1] for frame in tiny]
+    def delayed(executor):
+        seg = Segmenter(dataclasses.replace(dcfg, executor=executor),
+                        tiny_spec, encoder=slow_encode,
+                        flow=SimpleNamespace(push=slow_push))
+        return [timing for _, timing in seg.stream(tiny)]
 
-    ts = delayed(None)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        tp = delayed(pool)
+    ts = delayed("sequential")
+    tp = delayed("parallel")
     seq_ms = np.mean([t.total_us for t in ts[1:]]) / 1000
     par_ms = np.mean([t.total_us for t in tp[1:]]) / 1000
 

@@ -16,6 +16,10 @@ from mcma import Frame, ModelSpec, PipelineConfig
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 # hooks that only the command line workload reaches
 CLI_ONLY = {"core.read_frame", "core.write_mask", "cli.load_frames"}
+# `mcma run` reads its frames inside pipeline.run, one at a time, and writes
+# the masks after it returns; `sweep` and `bench` load the frames first
+NOT_IN_CLI_RUN = {"cli.load_frames"}
+AFTER_CLI_RUN = {"core.write_mask"}
 
 
 @pytest.fixture(scope="module")
@@ -55,3 +59,38 @@ def test_traced_run_reaches_every_hook(tracing):
     reached = {span.name for span in spans}
     expected = {tracing.ENTRY} | set(tracing.LEAVES) - CLI_ONLY
     assert expected <= reached, sorted(expected - reached)
+
+
+def test_traced_cli_run_reaches_every_hook(tracing, tmp_path):
+    scene = tmp_path / "scene.cfg"
+    scene.write_text("width = 64\nheight = 48\nframes = 3\nseed = 1\n"
+                     "object = shape=disk class=1 color=200,60,60 "
+                     "center=20,24 radius=8 velocity=2,1\n")
+    data = tmp_path / "data"
+    assert mcma.cli.main(["generate", "--config", str(scene),
+                          "--out", str(data)]) == 0
+    argv = ["run", "--frames", str(data / "frames"), "--mode", "mcma",
+            "--alpha", "0.5", "--lambda", "1.0", "--flow-scale", "0.5",
+            "--executor", "par", "--out", str(tmp_path / "out")]
+    tracer = tracing.Tracer(mcma)
+    tracer.install()
+    try:
+        assert mcma.cli.main(argv) == 0
+        spans, _ = tracer.take()
+    finally:
+        tracer.uninstall()
+    by_id = {span.id: span for span in spans}
+    entries = [span for span in spans if span.name == tracing.ENTRY]
+    assert len(entries) == 1
+
+    def under_entry(span):
+        while span.parent is not None:
+            span = by_id[span.parent]
+        return span is entries[0]
+
+    reached = {span.name for span in spans}
+    expected = set(tracing.LEAVES) - NOT_IN_CLI_RUN
+    assert expected <= reached, sorted(expected - reached)
+    outside = {span.name for span in spans
+               if span is not entries[0] and not under_entry(span)}
+    assert outside == AFTER_CLI_RUN

@@ -157,6 +157,20 @@ class TestRun:
             main(argv + ["--classes", "2"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("executor", ["seq", "par"])
+    def test_truncated_frame_named(self, dataset, tmp_path, capsys, executor):
+        # frames are read as the run goes, so the bad one fails mid-run
+        frames = sorted((dataset / "frames").glob("*.ppm"))
+        for extra in frames[6:]:
+            extra.unlink()
+        bad = frames[3]
+        bad.write_bytes(bad.read_bytes()[:-10])
+        code = main(["run", "--frames", str(dataset / "frames"),
+                     "--executor", executor, "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{bad}: truncated PNM payload" in err
+
     def test_missing_frames_dir_exits_1(self, tmp_path):
         assert main(["run", "--frames", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "out")]) == 1

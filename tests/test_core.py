@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -306,6 +307,19 @@ def test_read_features_fuzz(tmp_path_factory, raw):
     features = _read_fuzzed(tmp_path_factory, raw, read_features)
     if features is not None:
         assert min(features.data.shape) > 0
+
+
+@pytest.mark.parametrize("reader, name, data", [
+    (read_frame, "f.ppm", b"P6\n2 2\n255\n" + bytes(5)),
+    (read_mask, "m.pgm", b"P6\n2 2\n255\n" + bytes(12)),
+    (read_flow, "f.mcfl", b"MCFL" + bytes(4)),
+    (read_features, "f.mcfe", b"MCFE" + bytes(4)),
+])
+def test_format_errors_name_the_file(tmp_path, reader, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: "):
+        reader(path)
 
 
 class TestPipelineConfig:

@@ -1,5 +1,7 @@
+import dataclasses
+import sys
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,14 +35,17 @@ def tiny_frames(n=6):
             for i in range(n)]
 
 
-def slow_sources(mspec, delay=0.010):
+def slow_sources(mspec, delay=0.010, flow_starts=None):
     """Encoder and flow sources that sleep before answering; the flow
-    source returns zero flow."""
+    source returns zero flow and records when each frame's push started
+    in ``flow_starts`` (frame index -> perf_counter seconds)."""
     def encoder(frame):
         time.sleep(delay)
         return encode(frame, mspec)
 
     def flow(small):
+        if flow_starts is not None:
+            flow_starts[small.index] = time.perf_counter()
         time.sleep(delay)
         return FlowField.zeros(small.height, small.width)
 
@@ -49,6 +54,31 @@ def slow_sources(mspec, delay=0.010):
 
 def push_all(seg, frames):
     return [seg.push(frame) for frame in frames]
+
+
+def parallel_cfg(cfg):
+    return dataclasses.replace(cfg, executor="parallel")
+
+
+def breakable(monkeypatch, module, name, fail_from):
+    """Make ``module.name`` raise from its ``fail_from``-th call on (1 is
+    the first)."""
+    fn = getattr(module, name)
+    calls = []
+
+    def call(*args):
+        calls.append(None)
+        if len(calls) >= fail_from:
+            raise RuntimeError(f"{name} unavailable")
+        return fn(*args)
+    monkeypatch.setattr(module, name, call)
+
+
+# the call on which each stage breaks to fail the second frame of a stream:
+# the first frame's flow push expands only and never calls estimate_flow
+FAIL_SECOND_FRAME = {"flow": (mcma.flow, "estimate_flow", 1),
+                     "encode": (mcma.pipeline, "encode", 2),
+                     "decode": (mcma.pipeline, "decode", 2)}
 
 
 class TestRunSequential:
@@ -133,35 +163,85 @@ class TestRunParallel:
             baseline = decode(encode(frame, mspec), mspec)
             assert np.array_equal(mask.labels, baseline.labels)
 
-    def test_injected_delay_scheduling(self):
-        # flow and encode each sleep 10 ms: the parallel schedule overlaps
-        # them, the sequential one pays for both
+    def test_concurrent_streams_under_fast_switching(self):
+        # three parallel streams (six threads on a 2-CPU machine) with the
+        # interpreter switching threads every 10 us: each stream's estimator
+        # chain and scratch block stay its own, so every mask matches
+        spec = moving_scene(frames=8, width=64, height=48, seed=5)
+        frames = [s[0] for s in generate(spec)]
+        mspec = model_spec_from_scene(spec)
+        cfg = PipelineConfig(alpha=0.3, lam=1.0, flow_scale=0.5)
+        want = [m.labels.tobytes() for m in run(frames, cfg, mspec)[0]]
+        got = [None] * 3
+
+        def stream(k):
+            got[k] = [m.labels.tobytes()
+                      for m in run(frames, parallel_cfg(cfg), mspec)[0]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=stream, args=(k,))
+                       for k in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [want] * 3
+
+    def test_injected_delay_scheduling(self, monkeypatch):
+        # flow and encode each sleep 10 ms: the parallel schedule runs frame
+        # t+1's flow beside frame t's encode, the sequential one pays for both
         cfg = PipelineConfig(alpha=0.5, num_classes=2, mode="mcma")
         seg = Segmenter(cfg, tiny_model(), **slow_sources(tiny_model()))
-        seq_t = [t for _, t in push_all(seg, tiny_frames())]
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            seg = Segmenter(cfg, tiny_model(), pool=pool,
-                            **slow_sources(tiny_model()))
-            par_t = [t for _, t in push_all(seg, tiny_frames())]
+        seq_t = [t for _, t in seg.stream(tiny_frames())]
+        flow_starts, decode_ends = {}, []
+
+        def logged_decode(fused, spec):
+            mask = decode(fused, spec)
+            decode_ends.append(time.perf_counter())
+            return mask
+        monkeypatch.setattr(mcma.pipeline, "decode", logged_decode)
+        seg = Segmenter(parallel_cfg(cfg), tiny_model(),
+                        **slow_sources(tiny_model(), flow_starts=flow_starts))
+        par_t = [t for _, t in seg.stream(tiny_frames())]
         seq_ms = np.mean([t.total_us for t in seq_t[1:]]) / 1000
         par_ms = np.mean([t.total_us for t in par_t[1:]]) / 1000
         assert seq_ms > 20.0
         assert par_ms < 14.0
+        # frame t+1's flow starts before frame t's decode ends
+        assert len(decode_ends) == len(tiny_frames())
+        for t, decode_end in enumerate(decode_ends[:-1]):
+            assert flow_starts[t + 1] < decode_end, t
 
     def test_timing_invariants(self):
         cfg = PipelineConfig(alpha=0.5, flow_scale=1.0, num_classes=2)
         spec = moving_scene(frames=6, width=64, height=48)
-        seq = generate(spec)
+        frames = [s[0] for s in generate(spec)]
         mspec = model_spec_from_scene(spec)
         tol = 500.0  # us of measurement slack
-        _, seq_t = run([s[0] for s in seq], cfg, mspec)
-        for t in seq_t[1:]:
+
+        def timed_stream(cfg):
+            timings = []
+            t0 = time.perf_counter_ns()
+            for _, timing in Segmenter(cfg, mspec).stream(frames):
+                last_mask_us = (time.perf_counter_ns() - t0) / 1000
+                timings.append(timing)
+            # each total runs from the previous mask to this one, so the
+            # totals add up to the wall time up to the last mask
+            total_us = sum(t.total_us for t in timings)
+            assert last_mask_us - tol <= total_us <= last_mask_us
+            return timings[1:]
+
+        for t in timed_stream(cfg):
             stages = t.flow_us + t.encode_us + t.warp_us + t.fuse_us + t.decode_us
             assert t.total_us >= stages - tol
-        cfg.executor = "parallel"
-        _, par_t = run([s[0] for s in seq], cfg, mspec)
-        for t in par_t[1:]:
-            bound = max(t.flow_us, t.encode_us) + t.warp_us + t.fuse_us + t.decode_us
+        # the flow runs on the worker, beside the caller's model work
+        for t in timed_stream(parallel_cfg(cfg)):
+            bound = t.encode_us + t.warp_us + t.fuse_us + t.decode_us
             assert t.total_us >= bound - tol
 
     def test_stage_failure_reports_frame(self, tmp_path):
@@ -171,6 +251,72 @@ class TestRunParallel:
         with pytest.raises(PipelineError) as err:
             run(tiny_frames(2), cfg, mspec)
         assert err.value.frame_index == 0
+        assert err.value.stage == "encode"
+
+    def test_unreadable_frame_fails_after_the_frame_before(self):
+        def frames():
+            yield from tiny_frames(2)
+            raise OSError("frame 2 unreadable")
+
+        for executor in ("sequential", "parallel"):
+            cfg = PipelineConfig(alpha=0.5, executor=executor)
+            seg = Segmenter(cfg, tiny_model())
+            seen = []
+            with pytest.raises(OSError, match="frame 2 unreadable"):
+                for mask, _ in seg.stream(frames()):
+                    seen.append(mask)
+            assert len(seen) == 2
+
+
+class TestWorkerLifetime:
+    """The parallel stream's worker thread ends on every exit path."""
+
+    @staticmethod
+    def threads_after(call):
+        before = threading.active_count()
+        call()
+        return before, threading.active_count()
+
+    def test_successful_run(self):
+        cfg = PipelineConfig(alpha=0.5, executor="parallel")
+        before, after = self.threads_after(
+            lambda: run(tiny_frames(), cfg, tiny_model()))
+        assert after == before
+
+    @pytest.mark.parametrize("stage", ["flow", "encode"])
+    def test_failed_run(self, stage, monkeypatch):
+        cfg = PipelineConfig(alpha=0.5, executor="parallel")
+        breakable(monkeypatch, *FAIL_SECOND_FRAME[stage])
+
+        def failing():
+            with pytest.raises(PipelineError):
+                run(tiny_frames(), cfg, tiny_model())
+        before, after = self.threads_after(failing)
+        assert after == before
+
+    def test_abandoned_stream(self):
+        cfg = PipelineConfig(alpha=0.5, executor="parallel")
+
+        def abandon():
+            stream = Segmenter(cfg, tiny_model()).stream(tiny_frames())
+            next(stream)
+            assert threading.active_count() > before
+            stream.close()
+        before = threading.active_count()
+        abandon()
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("settings", [
+        dict(alpha=1.0), dict(lam=0.0), dict(mode="ema"),
+        dict(mode="baseline")])
+    def test_settings_without_flow_start_no_thread(self, settings):
+        cfg = PipelineConfig(**{"alpha": 0.5, "executor": "parallel",
+                                **settings})
+        before = threading.active_count()
+        stream = Segmenter(cfg, tiny_model()).stream(tiny_frames())
+        next(stream)
+        assert threading.active_count() == before
+        stream.close()
 
 
 class TestBenchmarkReport:
@@ -252,18 +398,17 @@ class TestSegmenter:
                 raise RuntimeError("encoder unavailable")
             return encode(frame, mspec)
 
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            seg = Segmenter(cfg, mspec, pool=pool, encoder=encoder)
-            seg.push(frames[0])
-            broken.append(True)
-            with pytest.raises(PipelineError) as err:
-                seg.push(frames[1])
-            assert err.value.frame_index == 1
-            broken.clear()
-            got = [seg.push(f)[0] for f in frames[1:]]
+        seg = Segmenter(parallel_cfg(cfg), mspec, encoder=encoder)
+        stream = seg.stream(frames[:2])
+        next(stream)
+        broken.append(True)
+        with pytest.raises(PipelineError) as err:
+            next(stream)
+        assert err.value.frame_index == 1
+        broken.clear()
+        got = [m for m, _ in seg.stream(frames[1:])]
         for a, b in zip(expected[1:], got):
             assert np.array_equal(a.labels, b.labels)
-
 
     @pytest.mark.parametrize("stage", ["flow", "encode", "decode"])
     @pytest.mark.parametrize("parallel", [False, True])
@@ -272,38 +417,32 @@ class TestSegmenter:
         spec = moving_scene(frames=3)
         frames = [s[0] for s in generate(spec)]
         mspec = model_spec_from_scene(spec)
-        cfg = PipelineConfig(alpha=0.3, lam=1.0, num_classes=2)
+        cfg = PipelineConfig(alpha=0.3, lam=1.0, num_classes=2,
+                             executor="parallel" if parallel else "sequential")
         expected = [m for m, _ in push_all(Segmenter(cfg, mspec), frames)]
         flows = []
-        broken = []
 
         class RecordingFlow(FlowEstimator):
             def push(self, small):
                 flows.append(super().push(small))
                 return flows[-1]
 
-        def breakable(module, name):
-            fn = getattr(module, name)
-
-            def call(*args):
-                if broken:
-                    raise RuntimeError(f"{name} unavailable")
-                return fn(*args)
-            monkeypatch.setattr(module, name, call)
-
-        breakable(*{"flow": (mcma.flow, "estimate_flow"),
-                    "encode": (mcma.pipeline, "encode"),
-                    "decode": (mcma.pipeline, "decode")}[stage])
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            seg = Segmenter(cfg, mspec, flow=RecordingFlow(),
-                            pool=pool if parallel else None)
-            seg.push(frames[0])
-            broken.append(True)
-            with pytest.raises(PipelineError) as err:
-                seg.push(frames[2])
-            assert err.value.frame_index == 1
-            broken.clear()
-            got = [seg.push(f)[0] for f in frames[1:]]
+        module, name, fail_from = FAIL_SECOND_FRAME[stage]
+        breakable(monkeypatch, module, name, fail_from)
+        seg = Segmenter(cfg, mspec, flow=RecordingFlow())
+        # frame 2 in the second position fails; on the parallel executor its
+        # flow fails on the worker while frame 0 is decoded, and the error
+        # still names frame 1 and the flow
+        feed = (seg.stream if parallel
+                else lambda fs: (seg.push(frame) for frame in fs))
+        with pytest.raises(PipelineError) as err:
+            for _ in feed([frames[0], frames[2]]):
+                pass
+        assert (err.value.frame_index, err.value.stage) == (1, stage)
+        assert str(err.value) == (
+            f"pipeline failed at frame 1 ({stage}): {name} unavailable")
+        monkeypatch.undo()
+        got = [m for m, _ in feed(frames[1:])]
         want = estimate_flow(frames[0], frames[1])
         assert flows[-2].u.tobytes() == want.u.tobytes()
         assert flows[-2].v.tobytes() == want.v.tobytes()
