@@ -8,7 +8,7 @@ ground-truth displacement the renderer knows exactly.
 import numpy as np
 
 from mcma import (SceneObject, SceneSpec, downscale_frame, estimate_flow,
-                  generate, mean_flow_magnitude, resize_flow)
+                  generate, motion_in_input_pixels, resize_flow)
 
 spec = SceneSpec(width=256, height=192, num_classes=2, frames=6, seed=1,
                  global_velocity=(3, 0),
@@ -23,8 +23,9 @@ for j in range(1, len(seq)):
     m = 16  # skip the border band the pan sweeps in
     u = flow.u[m:-m, m:-m].mean()
     v = flow.v[m:-m, m:-m].mean()
+    mag = motion_in_input_pixels(flow, curr.height, curr.width)
     print(f"  frame {j}: mean u={u:+.3f}  mean v={v:+.3f}  "
-          f"mean |flow|={mean_flow_magnitude(flow):.3f}")
+          f"mean |flow|={mag:.3f}")
 
 # the same estimate at quarter resolution, rescaled back to input pixels
 prev, curr = seq[0][0], seq[1][0]

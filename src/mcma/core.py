@@ -7,8 +7,9 @@ byte-identical across hosts.
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -156,8 +157,8 @@ class PipelineConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
-        if self.lam < 0.0:
-            raise ValueError("lambda must be nonnegative")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError("lam (lambda) must be finite and nonnegative")
         if self.flow_scale not in FLOW_SCALES:
             raise ValueError("flow_scale must be one of 1, 1/2, 1/4")
         if self.executor not in ("sequential", "parallel"):
@@ -255,16 +256,38 @@ def write_mask(mask: SegmentationMask, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# MCFL / MCFE
+# MCFL / MCFE: a magic, u32 dimensions, then little-endian f32 values
+
+def _write_f32(path, magic: bytes, dims, values: np.ndarray) -> None:
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(struct.pack(f"<{len(dims)}I", *dims))
+        fh.write(np.asarray(values, "<f4").tobytes())
+
+
+def _parse_f32(buf: bytes, magic: bytes, kind: str, ndims: int,
+               per_cell: int = 1):
+    """The ``ndims`` dimensions and the flat values of a ``kind`` file,
+    which holds ``per_cell`` values per cell of those dimensions."""
+    if buf[:4] != magic:
+        raise FormatError(f"bad magic for {kind} file")
+    header = 4 + 4 * ndims
+    if len(buf) < header:
+        raise FormatError(f"truncated {kind} header")
+    dims = struct.unpack(f"<{ndims}I", buf[4:header])
+    if 0 in dims:
+        raise FormatError(f"{kind} file has a zero dimension")
+    if len(buf) != header + 4 * per_cell * math.prod(dims):
+        raise FormatError(f"{kind} payload size mismatch")
+    values = np.frombuffer(buf[header:], dtype="<f4")
+    if not np.all(np.isfinite(values)):
+        raise FormatError(f"{kind} file contains non-finite values")
+    return dims, values
+
 
 def write_flow(flow: FlowField, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(FLOW_MAGIC)
-        fh.write(struct.pack("<II", flow.width, flow.height))
-        uv = np.empty((flow.height, flow.width, 2), dtype="<f4")
-        uv[:, :, 0] = flow.u
-        uv[:, :, 1] = flow.v
-        fh.write(uv.tobytes())
+    _write_f32(path, FLOW_MAGIC, (flow.width, flow.height),
+               np.stack((flow.u, flow.v), axis=-1))
 
 
 def read_flow(path) -> FlowField:
@@ -272,29 +295,14 @@ def read_flow(path) -> FlowField:
 
 
 def _parse_flow(buf: bytes) -> FlowField:
-    if buf[:4] != FLOW_MAGIC:
-        raise FormatError("bad magic for flow file")
-    if len(buf) < 12:
-        raise FormatError("truncated flow header")
-    width, height = struct.unpack("<II", buf[4:12])
-    if width == 0 or height == 0:
-        raise FormatError("flow file has a zero dimension")
-    expected = 12 + width * height * 8
-    if len(buf) != expected:
-        raise FormatError("flow payload size mismatch")
-    uv = np.frombuffer(buf[12:], dtype="<f4").reshape(height, width, 2)
-    if not np.all(np.isfinite(uv)):
-        raise FormatError("flow file contains non-finite values")
+    (width, height), values = _parse_f32(buf, FLOW_MAGIC, "flow", 2, 2)
+    uv = values.reshape(height, width, 2)
     return FlowField(uv[:, :, 0].astype(np.float32),
                      uv[:, :, 1].astype(np.float32))
 
 
 def write_features(features: FeatureMap, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<III", features.channels, features.height,
-                             features.width))
-        fh.write(features.data.astype("<f4").tobytes())
+    _write_f32(path, FEATURE_MAGIC, features.data.shape, features.data)
 
 
 def read_features(path) -> FeatureMap:
@@ -302,17 +310,5 @@ def read_features(path) -> FeatureMap:
 
 
 def _parse_features(buf: bytes) -> FeatureMap:
-    if buf[:4] != FEATURE_MAGIC:
-        raise FormatError("bad magic for feature file")
-    if len(buf) < 16:
-        raise FormatError("truncated feature header")
-    channels, height, width = struct.unpack("<III", buf[4:16])
-    if 0 in (channels, height, width):
-        raise FormatError("feature file has a zero dimension")
-    expected = 16 + channels * height * width * 4
-    if len(buf) != expected:
-        raise FormatError("feature payload size mismatch")
-    data = np.frombuffer(buf[16:], dtype="<f4").reshape(channels, height, width)
-    if not np.all(np.isfinite(data)):
-        raise FormatError("feature file contains non-finite values")
-    return FeatureMap(data.astype(np.float32))
+    dims, values = _parse_f32(buf, FEATURE_MAGIC, "feature", 3)
+    return FeatureMap(values.reshape(dims).astype(np.float32))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import io
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 

@@ -101,11 +101,6 @@ def resize_flow(flow: FlowField, target_h: int, target_w: int) -> FlowField:
                      component(flow.v, target_h, flow.height))
 
 
-def mean_flow_magnitude(flow: FlowField) -> float:
-    return float(np.mean(np.hypot(flow.u.astype(np.float64),
-                                  flow.v.astype(np.float64))))
-
-
 # ---------------------------------------------------------------------------
 # Polynomial expansion
 

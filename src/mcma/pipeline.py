@@ -1,8 +1,9 @@
 """Streaming segmentation: one recurrence per frame, plus timing.
 
 ``Segmenter._step`` is the only place the recurrence runs: flow, encode,
-warp, fuse and decode for one frame. ``Segmenter.push`` computes a frame's
-flow inline. ``Segmenter.stream`` on the parallel executor runs flow one
+warp, fuse and decode for one frame, and ``Segmenter.stream`` is the only
+loop that runs it. A frame's flow stage is one task, ``_push_copy``. The
+sequential executor runs it inline. The parallel executor runs it one
 frame ahead on one worker thread: each frame is read and downscaled on the
 calling thread as it arrives, and its ``FlowEstimator.push`` runs on the
 worker while the caller encodes, warps, fuses and decodes the frame before
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import functools
 import io
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -70,25 +70,21 @@ def _timed(fn, *args):
     return out, _now_us() - t0
 
 
-def _push_copy(base, small: Frame):
-    """Push ``small`` to a shallow copy of ``base``: an estimator, or the
-    future of the previous frame's push, which the one worker has already
-    run. Returns (estimator, flow, push_us)."""
+def _push_copy(base, small: Frame, downscale_us: float):
+    """One frame's flow stage, inline or on the worker: push ``small`` to a
+    shallow copy of ``base``, an estimator or the future of the previous
+    frame's push, which the one worker has already run. Returns (estimator,
+    flow, flow_us), where flow_us adds the push to the downscale."""
     if isinstance(base, Future):
         base = base.result()[0]
     estimator = copy.copy(base)
     flow, push_us = _timed(estimator.push, small)
-    return estimator, flow, push_us
-
-
-def _collect(pending: Future, downscale_us: float):
-    estimator, flow, push_us = pending.result()
     return estimator, flow, downscale_us + push_us
 
 
 class Segmenter:
-    """Streaming MCMA: ``push`` one frame, or ``stream`` a clip, and get
-    each mask with its stage timings.
+    """Streaming MCMA: ``stream`` frames and get each mask with its stage
+    timings.
 
     The state is the fused feature map of the previous frame and the flow
     estimator, which keeps what it needs of that frame. ``encoder`` (frame
@@ -103,9 +99,10 @@ class Segmenter:
     the estimator that replaces it only when the whole frame succeeds, so
     an estimator must rebind its state, not mutate it. The copy shares
     ``FlowEstimator``'s scratch block, which holds no state, but not its
-    kept expansions. ``stream`` on the parallel executor pushes every copy
-    on its one worker thread, one frame at a time, so the block never
-    serves two threads; do not ``push`` while such a stream is open.
+    kept expansions. On the parallel executor every copy is pushed on the
+    stream's one worker thread, one frame at a time, so the block never
+    serves two threads. Run one stream at a time on a Segmenter. After a
+    failed frame, a new ``stream`` carries on from the last good frame.
 
     Degenerate settings are resolved once: alpha = 1 keeps no history and
     runs as the per-frame baseline, and mcma with lambda = 0 runs as the
@@ -130,13 +127,6 @@ class Segmenter:
         self._size: Optional[tuple] = None
         self._count = 0
 
-    def push(self, frame: Frame):
-        """Segment the next frame, its flow computed inline; returns
-        (mask, StageTiming)."""
-        return self._step(frame, _now_us(),
-                          functools.partial(self._inline_flow, frame),
-                          "sequential")
-
     def stream(self, frames: Iterable[Frame]):
         """Segment ``frames`` in order, reading each only when it is due;
         yields (mask, StageTiming) per frame.
@@ -154,8 +144,8 @@ class Segmenter:
         mark = _now_us()
         for frame in frames:
             mask, timing = self._step(
-                frame, mark, functools.partial(self._inline_flow, frame),
-                self.cfg.executor)
+                frame, mark,
+                lambda f=frame: _push_copy(self._flow, *self._downscale(f)))
             mark += timing.total_us
             yield mask, timing
 
@@ -172,10 +162,8 @@ class Segmenter:
                 except Exception as exc:  # frame t+1's, raised after mask t
                     ahead, unread = None, exc
                 following = (None if ahead is None
-                             else self._submit(pool, ahead, pending[0]))
-                mask, timing = self._step(
-                    frame, mark, functools.partial(_collect, *pending),
-                    "parallel")
+                             else self._submit(pool, ahead, pending))
+                mask, timing = self._step(frame, mark, pending.result)
                 mark += timing.total_us
                 yield mask, timing
                 if unread is not None:
@@ -184,31 +172,26 @@ class Segmenter:
         finally:
             pool.shutdown(cancel_futures=True)
 
-    def _submit(self, pool, frame: Frame, base):
+    def _submit(self, pool, frame: Frame, base) -> Future:
         """Downscale ``frame`` here and push it on the worker to a copy of
-        ``base`` (see _push_copy); returns (future, downscale_us). A failed
-        downscale becomes the future's exception, raised at its frame."""
+        ``base`` (see _push_copy). A failed downscale becomes the future's
+        exception, raised at its frame."""
         try:
-            small, downscale_us = _timed(downscale_frame, frame,
-                                         self.cfg.flow_scale)
+            small, downscale_us = self._downscale(frame)
         except Exception as exc:
             failed = Future()
             failed.set_exception(exc)
-            return failed, 0.0
-        return pool.submit(_push_copy, base, small), downscale_us
+            return failed
+        return pool.submit(_push_copy, base, small, downscale_us)
 
-    def _inline_flow(self, frame: Frame):
-        """The frame's flow stage on the calling thread."""
-        small, downscale_us = _timed(downscale_frame, frame,
-                                     self.cfg.flow_scale)
-        estimator, flow, push_us = _push_copy(self._flow, small)
-        return estimator, flow, downscale_us + push_us
+    def _downscale(self, frame: Frame):
+        return _timed(downscale_frame, frame, self.cfg.flow_scale)
 
     def _warp(self, state: FeatureMap, flow: FlowField) -> FeatureMap:
         flow = resize_flow(flow, state.height, state.width)
         return warp_features(state, flow, self.cfg.lam)
 
-    def _step(self, frame: Frame, t_start: float, flow_stage, executor: str):
+    def _step(self, frame: Frame, t_start: float, flow_stage):
         """Run one frame; ``flow_stage()`` returns (estimator, flow,
         flow_us) and is called only where the settings need flow."""
         j = self._count
@@ -247,7 +230,7 @@ class Segmenter:
         self.state, self._flow, self._size = fused, estimator, size
         self._count += 1
         return mask, StageTiming(j, flow_us, encode_us, warp_us, fuse_us,
-                                 decode_us, total_us, executor,
+                                 decode_us, total_us, self.cfg.executor,
                                  self.cfg.flow_scale)
 
 
@@ -312,19 +295,20 @@ def alpha_sweep(frames: Sequence[Frame], gts, cfg: PipelineConfig,
     estimator = FlowEstimator()
     flows = [estimator.push(f) for f in small]
 
-    # the replayed sources ignore the frames they are given, so each push
-    # gets the flow-grid copy at flow scale 1, which is not downscaled again
+    # the replayed sources ignore their frames: the stream gets the flow-grid
+    # copies at flow scale 1, not downscaled again, on the calling thread
     rows = []
     for alpha in alphas:
         for method in ("ema", "mcma"):
             replay_feats, replay_flows = iter(feats), iter(flows)
             seg = Segmenter(dataclasses.replace(cfg, alpha=alpha, mode=method,
-                                                flow_scale=1.0),
+                                                flow_scale=1.0,
+                                                executor="sequential"),
                             model_spec,
                             encoder=lambda _: next(replay_feats),
                             flow=SimpleNamespace(
                                 push=lambda _: next(replay_flows)))
-            masks = (seg.push(frame)[0] for frame in small)
+            masks = (mask for mask, _ in seg.stream(small))
             rows.append((alpha, method, pooled_miou(masks, gts, num_classes)))
     return rows
 

@@ -33,6 +33,16 @@ MAX_SPEED = 8.0
 NOISE_BLOB_RADIUS = 3
 
 
+def _check_finite(name: str, *values: float) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{name} must be finite")
+
+
+def _check_color(name: str, color) -> None:
+    if len(color) != 3 or not all(0 <= c <= 255 for c in color):
+        raise ValueError(f"{name} must be three values in 0..255")
+
+
 @dataclass
 class SceneObject:
     shape: str  # "rectangle" | "disk"
@@ -46,6 +56,11 @@ class SceneObject:
     def __post_init__(self):
         if self.shape not in ("rectangle", "disk"):
             raise ValueError("shape must be rectangle or disk")
+        _check_color("color", self.color)
+        _check_finite("position", *self.position)
+        _check_finite("velocity", *self.velocity)
+        _check_finite("size", *self.size)
+        _check_finite("radius", self.radius)
         if max(abs(self.velocity[0]), abs(self.velocity[1])) > MAX_SPEED:
             raise ValueError(f"object speed components must be <= {MAX_SPEED}")
         if self.shape == "rectangle" and min(self.size) <= 0:
@@ -80,12 +95,17 @@ class SceneSpec:
                 raise ValueError("object class out of range")
         if not 0 <= self.background_class < self.num_classes:
             raise ValueError("background class out of range")
+        _check_color("background_color", self.background_color)
+        if not 0.0 <= self.texture_amplitude < math.inf:
+            raise ValueError("texture_amplitude must be finite and "
+                             "nonnegative")
         if (self.noise_class is not None
                 and not 0 <= self.noise_class < self.num_classes):
             raise ValueError("noise class out of range")
         if not 0.0 <= self.label_noise_rate <= 1.0:
             raise ValueError("label_noise_rate must be in [0, 1]")
         gx, gy = self.global_velocity
+        _check_finite("global_velocity", gx, gy)
         if max(abs(gx), abs(gy)) > MAX_SPEED:
             raise ValueError(f"global speed components must be <= {MAX_SPEED}")
 
@@ -117,9 +137,7 @@ def model_spec_from_scene(spec: SceneSpec,
 def _span(lo: float, hi: float, n: int) -> Tuple[int, int]:
     """Pixel indices [a, b) around the extent [lo, hi], one pixel wider on
     each side than rounding could move a float test's boundary, clipped to
-    [0, n). Empty when the extent is not finite: no pixel passes then."""
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        return 0, 0
+    [0, n)."""
     return max(math.floor(lo) - 1, 0), min(math.ceil(hi) + 2, n)
 
 

@@ -8,6 +8,8 @@ warped values are always convex combinations of stored values and zero flow
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import FeatureMap, FlowField
@@ -17,8 +19,8 @@ from .resample import gather
 def warp_features(features: FeatureMap, flow: FlowField,
                   lam: float) -> FeatureMap:
     """Sample the features at p + lam * flow(p) for every pixel p."""
-    if lam < 0.0:
-        raise ValueError("lambda must be nonnegative")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError("lam (lambda) must be finite and nonnegative")
     if (flow.height, flow.width) != (features.height, features.width):
         raise ValueError("flow dimensions must match feature dimensions")
     yy, xx = np.indices((features.height, features.width))

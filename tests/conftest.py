@@ -1,7 +1,10 @@
+import time
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from mcma import Frame
+from mcma import FlowField, Frame
 
 
 def smooth_texture(height, width, seed, cutoff=0.002):
@@ -24,6 +27,42 @@ def shifted_pair(height, width, seed, dx, dy):
     prev = Frame(base[:, :, None])
     curr = Frame(np.roll(base, (dy, dx), axis=(0, 1))[:, :, None], index=1)
     return prev, curr
+
+
+def slow_sources(encode, delay):
+    """Encoder and flow sources for a Segmenter that sleep ``delay``
+    seconds before answering (the flow source returns zero flow), and the
+    spans they record: stage ("encode" or "flow") -> frame index ->
+    (start, end) in perf_counter seconds."""
+    spans = {"encode": {}, "flow": {}}
+
+    def timed(stage, index, answer):
+        start = time.perf_counter()
+        time.sleep(delay)
+        out = answer()
+        spans[stage][index] = (start, time.perf_counter())
+        return out
+
+    def encoder(frame):
+        return timed("encode", frame.index, lambda: encode(frame))
+
+    def push(small):
+        return timed("flow", small.index,
+                     lambda: FlowField.zeros(small.height, small.width))
+
+    return {"encoder": encoder, "flow": SimpleNamespace(push=push)}, spans
+
+
+def flow_encode_overlap(spans):
+    """Seconds during which frame t+1's flow ran beside frame t's encode,
+    summed over t."""
+    total = 0.0
+    for t, (enc_start, enc_end) in spans["encode"].items():
+        if t + 1 in spans["flow"]:
+            flow_start, flow_end = spans["flow"][t + 1]
+            total += max(0.0, min(enc_end, flow_end)
+                         - max(enc_start, flow_start))
+    return total
 
 
 @pytest.fixture

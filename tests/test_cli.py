@@ -85,6 +85,23 @@ class TestGenerate:
                 b = (outs[1] / sub / fname).read_bytes()
                 assert a == b
 
+    @pytest.mark.parametrize("line, field", [
+        ("texture_amplitude = nan", "texture_amplitude"),
+        ("global_velocity = nan,0", "global_velocity"),
+        ("background_color = -5,300,40", "background_color"),
+        ("object = shape=disk class=1 color=200,60,60 center=inf,12 "
+         "radius=3", "position"),
+        ("object = shape=disk class=1 color=200,60,60 center=4,4 "
+         "radius=nan", "radius")])
+    def test_bad_number_exits_1(self, tmp_path, capsys, line, field):
+        cfg = tmp_path / "scene.cfg"
+        cfg.write_text(SCENE + line + "\n")
+        out = tmp_path / "data"
+        assert main(["generate", "--config", str(cfg),
+                     "--out", str(out)]) == 1
+        assert f"error: {field} " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_layout(self, dataset):
         assert len(list((dataset / "frames").glob("*.ppm"))) == 12
         assert (dataset / "scene.cfg").exists()
@@ -170,6 +187,13 @@ class TestRun:
         assert code == 1
         err = capsys.readouterr().err
         assert f"{bad}: truncated PNM payload" in err
+
+    def test_non_finite_lambda_exits_1(self, dataset, tmp_path, capsys):
+        code = main(["run", "--frames", str(dataset / "frames"),
+                     "--lambda", "nan", "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "lam" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_frames_dir_exits_1(self, tmp_path):
         assert main(["run", "--frames", str(tmp_path / "nope"),

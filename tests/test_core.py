@@ -330,6 +330,7 @@ class TestPipelineConfig:
     @pytest.mark.parametrize("kwargs", [
         {"alpha": 0.0}, {"alpha": 1.5}, {"lam": -1.0},
         {"flow_scale": 0.3}, {"executor": "gpu"}, {"mode": "magic"},
+        {"lam": np.nan}, {"lam": np.inf},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import pytest
 import mcma.flow
 from mcma import (FlowEstimator, FlowField, Frame, SceneObject, SceneSpec,
                   downscale_frame, estimate_flow, generate,
-                  mean_flow_magnitude, polynomial_expansion, resize_flow,
+                  motion_in_input_pixels, polynomial_expansion, resize_flow,
                   to_grayscale)
 from mcma.flow import POLY_N, POLY_SIGMA, PYRAMID_LEVELS, _pyramid
 
@@ -284,6 +284,12 @@ class TestResizeFlow:
     def test_rejects_degenerate_target(self):
         with pytest.raises(ValueError):
             resize_flow(FlowField.zeros(4, 4), 1, 4)
+
+
+def mean_flow_magnitude(flow):
+    """The mean flow length on the field's own grid: the motion in input
+    pixels when the input is that grid."""
+    return motion_in_input_pixels(flow, flow.height, flow.width)
 
 
 class TestMeanFlowMagnitude:

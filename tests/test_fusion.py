@@ -47,11 +47,11 @@ def _scene(velocity=(0, 0), frames=8, noise=0.0, seed=3):
 
 def _run_steps(seq, cfg, mspec):
     seg = Segmenter(cfg, mspec)
-    return [seg.push(frame)[0] for frame, _, _ in seq]
+    return [mask for mask, _ in seg.stream(frame for frame, _, _ in seq)]
 
 
 class TestMcmaStep:
-    """One step of the recurrence is one Segmenter.push."""
+    """One step of the recurrence is one frame of Segmenter.stream."""
 
     def test_static_sequence_matches_baseline(self):
         spec = _scene()
@@ -98,11 +98,11 @@ class TestMcmaStep:
         cfg = PipelineConfig(alpha=0.2, lam=1.0, num_classes=2)
         seg = Segmenter(cfg, mspec)
         lo, hi = np.inf, -np.inf
-        for frame, _, _ in seq:
+        frames = [frame for frame, _, _ in seq]
+        for frame, _ in zip(frames, seg.stream(frames)):
             feats = encode(frame, mspec)
             lo = min(lo, float(feats.data.min()))
             hi = max(hi, float(feats.data.max()))
-            seg.push(frame)
             eps = 1e-5 * (hi - lo)
             assert seg.state.data.min() >= lo - eps
             assert seg.state.data.max() <= hi + eps
@@ -123,8 +123,8 @@ class TestMcmaStep:
         mspec = model_spec_from_scene(spec)
         cfg = PipelineConfig(alpha=0.5, num_classes=2)
         seg = Segmenter(cfg, mspec)
-        seg.push(seq[0][0])
         other = Frame(np.zeros((32, 48, 3), np.uint8), index=1)
         with pytest.raises(PipelineError) as err:
-            seg.push(other)
+            list(seg.stream([seq[0][0], other]))
+        assert err.value.frame_index == 1
         assert isinstance(err.value.cause, ValueError)

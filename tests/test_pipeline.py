@@ -2,20 +2,22 @@ import dataclasses
 import sys
 import threading
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import mcma.flow
 import mcma.pipeline
-from mcma import (FeatureMap, FlowField, Frame, ModelSpec, PipelineConfig,
+from mcma import (FeatureMap, Frame, ModelSpec, PipelineConfig,
                   SceneObject, SceneSpec, Segmenter, alpha_sweep,
                   benchmark_report, estimate_flow, generate,
                   model_spec_from_scene, run, write_features)
 from mcma.flow import FlowEstimator
+from mcma.fusion import ema_fuse
 from mcma.model import decode, encode, feature_file_path
 from mcma.pipeline import PipelineError, StageTiming, timings_csv
+
+from conftest import flow_encode_overlap, slow_sources
 
 
 def moving_scene(frames=20, width=128, height=96, seed=2, velocity=(3, 1)):
@@ -33,27 +35,6 @@ def tiny_model():
 def tiny_frames(n=6):
     return [Frame(np.full((16, 16, 3), 90, np.uint8), index=i)
             for i in range(n)]
-
-
-def slow_sources(mspec, delay=0.010, flow_starts=None):
-    """Encoder and flow sources that sleep before answering; the flow
-    source returns zero flow and records when each frame's push started
-    in ``flow_starts`` (frame index -> perf_counter seconds)."""
-    def encoder(frame):
-        time.sleep(delay)
-        return encode(frame, mspec)
-
-    def flow(small):
-        if flow_starts is not None:
-            flow_starts[small.index] = time.perf_counter()
-        time.sleep(delay)
-        return FlowField.zeros(small.height, small.width)
-
-    return {"encoder": encoder, "flow": SimpleNamespace(push=flow)}
-
-
-def push_all(seg, frames):
-    return [seg.push(frame) for frame in frames]
 
 
 def parallel_cfg(cfg):
@@ -152,6 +133,22 @@ class TestRunParallel:
         for a, b in zip(seq_masks, par_masks):
             assert np.array_equal(a.labels, b.labels)
 
+    @pytest.mark.parametrize("stride", [2, 4, 8])
+    @pytest.mark.parametrize("flow_scale", [1.0, 0.5, 0.25])
+    @pytest.mark.parametrize("mode", ["baseline", "ema", "mcma"])
+    def test_equal_to_sequential_over_grid(self, mode, flow_scale, stride):
+        spec = moving_scene(frames=5, width=64, height=48, seed=9)
+        frames = [s[0] for s in generate(spec)]
+        mspec = model_spec_from_scene(spec, feature_stride=stride)
+        cfg = PipelineConfig(alpha=0.3, lam=1.5, flow_scale=flow_scale,
+                             mode=mode)
+        masks = {}
+        for config in (cfg, parallel_cfg(cfg)):
+            got, timings = run(frames, config, mspec)
+            assert [t.executor for t in timings] == [config.executor] * 5
+            masks[config.executor] = [m.labels.tobytes() for m in got]
+        assert masks["parallel"] == masks["sequential"]
+
     def test_masks_in_input_order(self):
         spec = moving_scene(frames=10)
         seq = generate(spec)
@@ -196,26 +193,35 @@ class TestRunParallel:
         # flow and encode each sleep 10 ms: the parallel schedule runs frame
         # t+1's flow beside frame t's encode, the sequential one pays for both
         cfg = PipelineConfig(alpha=0.5, num_classes=2, mode="mcma")
-        seg = Segmenter(cfg, tiny_model(), **slow_sources(tiny_model()))
-        seq_t = [t for _, t in seg.stream(tiny_frames())]
-        flow_starts, decode_ends = {}, []
+        mspec = tiny_model()
+        delay = 0.010
+
+        def delayed(cfg):
+            sources, spans = slow_sources(lambda f: encode(f, mspec), delay)
+            seg = Segmenter(cfg, mspec, **sources)
+            return [t for _, t in seg.stream(tiny_frames())], spans
+
+        seq_t, seq_spans = delayed(cfg)
+        decode_ends = []
 
         def logged_decode(fused, spec):
             mask = decode(fused, spec)
             decode_ends.append(time.perf_counter())
             return mask
         monkeypatch.setattr(mcma.pipeline, "decode", logged_decode)
-        seg = Segmenter(parallel_cfg(cfg), tiny_model(),
-                        **slow_sources(tiny_model(), flow_starts=flow_starts))
-        par_t = [t for _, t in seg.stream(tiny_frames())]
+        _, par_spans = delayed(parallel_cfg(cfg))
         seq_ms = np.mean([t.total_us for t in seq_t[1:]]) / 1000
-        par_ms = np.mean([t.total_us for t in par_t[1:]]) / 1000
         assert seq_ms > 20.0
-        assert par_ms < 14.0
+        # on the recorded spans, frame t+1's flow runs beside frame t's
+        # encode for at least half the injected flow time; one after the
+        # other, the two never overlap
+        pairs = len(tiny_frames()) - 1
+        assert flow_encode_overlap(par_spans) >= 0.5 * delay * pairs
+        assert flow_encode_overlap(seq_spans) == 0.0
         # frame t+1's flow starts before frame t's decode ends
         assert len(decode_ends) == len(tiny_frames())
         for t, decode_end in enumerate(decode_ends[:-1]):
-            assert flow_starts[t + 1] < decode_end, t
+            assert par_spans["flow"][t + 1][0] < decode_end, t
 
     def test_timing_invariants(self):
         cfg = PipelineConfig(alpha=0.5, flow_scale=1.0, num_classes=2)
@@ -371,7 +377,7 @@ class TestSegmenter:
         def masks(**kwargs):
             seg = Segmenter(PipelineConfig(num_classes=2, **kwargs), mspec,
                             flow=CountingFlow())
-            return [m for m, _ in push_all(seg, frames)]
+            return [m for m, _ in seg.stream(frames)]
 
         masks(alpha=1.0, mode="mcma")
         masks(alpha=0.3, lam=0.0, mode="mcma")
@@ -390,7 +396,7 @@ class TestSegmenter:
         frames = [s[0] for s in generate(spec)]
         mspec = model_spec_from_scene(spec)
         cfg = PipelineConfig(alpha=0.3, lam=1.0, num_classes=2)
-        expected = [m for m, _ in push_all(Segmenter(cfg, mspec), frames)]
+        expected = [m for m, _ in Segmenter(cfg, mspec).stream(frames)]
         broken = []
 
         def encoder(frame):
@@ -419,7 +425,7 @@ class TestSegmenter:
         mspec = model_spec_from_scene(spec)
         cfg = PipelineConfig(alpha=0.3, lam=1.0, num_classes=2,
                              executor="parallel" if parallel else "sequential")
-        expected = [m for m, _ in push_all(Segmenter(cfg, mspec), frames)]
+        expected = [m for m, _ in Segmenter(cfg, mspec).stream(frames)]
         flows = []
 
         class RecordingFlow(FlowEstimator):
@@ -433,16 +439,14 @@ class TestSegmenter:
         # frame 2 in the second position fails; on the parallel executor its
         # flow fails on the worker while frame 0 is decoded, and the error
         # still names frame 1 and the flow
-        feed = (seg.stream if parallel
-                else lambda fs: (seg.push(frame) for frame in fs))
         with pytest.raises(PipelineError) as err:
-            for _ in feed([frames[0], frames[2]]):
+            for _ in seg.stream([frames[0], frames[2]]):
                 pass
         assert (err.value.frame_index, err.value.stage) == (1, stage)
         assert str(err.value) == (
             f"pipeline failed at frame 1 ({stage}): {name} unavailable")
         monkeypatch.undo()
-        got = [m for m, _ in feed(frames[1:])]
+        got = [m for m, _ in seg.stream(frames[1:])]
         want = estimate_flow(frames[0], frames[1])
         assert flows[-2].u.tobytes() == want.u.tobytes()
         assert flows[-2].v.tobytes() == want.v.tobytes()
@@ -463,3 +467,24 @@ class TestAlphaSweepInputs:
             with pytest.raises(ValueError):
                 alpha_sweep(bad_frames, bad_gts, cfg, mspec, alphas=[0.5])
         assert len(alpha_sweep(frames, gts, cfg, mspec, alphas=[0.5])) == 2
+
+
+class TestAlphaSweepReplay:
+    def test_parallel_config_starts_no_thread(self, monkeypatch):
+        spec = moving_scene(frames=4, width=64, height=48)
+        seq = generate(spec)
+        frames, gts = [s[0] for s in seq], [s[1] for s in seq]
+        mspec = model_spec_from_scene(spec)
+        cfg = PipelineConfig(alpha=0.5, lam=1.5, flow_scale=0.5)
+        # every replayed fuse sees the threads that ran before the sweep
+        threads = []
+
+        def counting_fuse(*args):
+            threads.append(threading.active_count())
+            return ema_fuse(*args)
+        monkeypatch.setattr(mcma.pipeline, "ema_fuse", counting_fuse)
+        before = threading.active_count()
+        rows = alpha_sweep(frames, gts, parallel_cfg(cfg), mspec,
+                           alphas=[0.3, 0.7])
+        assert threads and set(threads) == {before}
+        assert rows == alpha_sweep(frames, gts, cfg, mspec, alphas=[0.3, 0.7])

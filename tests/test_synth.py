@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mcma import (SceneObject, SceneSpec, fp_rate, generate,
-                  mean_flow_magnitude, model_spec_from_scene,
+                  model_spec_from_scene, motion_in_input_pixels,
                   prototypes_from_scene, save_dataset)
 from mcma.core import read_flow, read_frame, read_mask
 from mcma.model import decode, encode
@@ -92,11 +92,35 @@ class TestGenerate:
             SceneObject("disk", 1, (0, 0, 0), (5, 5), velocity=(9, 0),
                         radius=3)
 
+    @pytest.mark.parametrize("field, value", [
+        ("color", (999, 60, 60)), ("color", (-1, 60, 60)),
+        ("color", (np.nan, 60, 60)), ("position", (np.inf, 12)),
+        ("velocity", (np.nan, 0)), ("size", (np.inf, 3)),
+        ("radius", np.nan), ("radius", np.inf)])
+    @pytest.mark.parametrize("shape", ["disk", "rectangle"])
+    def test_object_rejects_bad_numbers(self, shape, field, value):
+        kwargs = dict(shape=shape, class_id=1, color=(200, 60, 60),
+                      position=(5, 5), size=(4, 3), radius=3)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"^{field} "):
+            SceneObject(**kwargs)
+
+    @pytest.mark.parametrize("field, value", [
+        ("background_color", (-5, 300, 40)),
+        ("background_color", (40, 110, np.nan)),
+        ("texture_amplitude", np.nan), ("texture_amplitude", np.inf),
+        ("texture_amplitude", -1.0), ("global_velocity", (np.nan, 0)),
+        ("global_velocity", (0, -np.inf))])
+    def test_scene_rejects_bad_numbers(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            disk_scene(**{field: value})
+
 
 class TestMotionProfile:
     def test_static_zero(self):
-        seq = generate(disk_scene())
-        assert [mean_flow_magnitude(s[2]) for s in seq] == [0.0] * len(seq)
+        spec = disk_scene()
+        assert ([motion_in_input_pixels(s[2], spec.height, spec.width)
+                 for s in generate(spec)] == [0.0] * spec.frames)
 
     def test_single_disk_counting_oracle(self):
         spec = disk_scene(objects=[SceneObject(
@@ -106,7 +130,8 @@ class TestMotionProfile:
         for _, mask, flow in seq:
             area = np.count_nonzero(mask.labels == 1)
             expected = 5.0 * area / (spec.width * spec.height)
-            assert mean_flow_magnitude(flow) == pytest.approx(expected)
+            motion = motion_in_input_pixels(flow, spec.height, spec.width)
+            assert motion == pytest.approx(expected)
 
     def test_two_disjoint_objects(self):
         spec = disk_scene(num_classes=3, objects=[
@@ -119,7 +144,8 @@ class TestMotionProfile:
         a1 = np.count_nonzero(mask.labels == 1)
         a2 = np.count_nonzero(mask.labels == 2)
         expected = (3.0 * a1 + 4.0 * a2) / (spec.width * spec.height)
-        assert mean_flow_magnitude(flow) == pytest.approx(expected)
+        assert (motion_in_input_pixels(flow, spec.height, spec.width)
+                == pytest.approx(expected))
 
 
 class TestSaveDataset:

@@ -184,20 +184,6 @@ def test_sub_pixel_shapes_between_pixel_centres():
     assert_same_bytes(spec)
 
 
-def test_non_finite_positions_draw_nothing():
-    # a scene config can say inf or nan; no pixel passes such a test
-    inf, nan = float("inf"), float("nan")
-    spec = SceneSpec(width=16, height=12, frames=2, objects=[
-        SceneObject("disk", 1, (200, 60, 60), (inf, 4.0), radius=3.0),
-        SceneObject("rectangle", 1, (60, 60, 200), (2.0, -inf),
-                    size=(5.0, 5.0)),
-        SceneObject("disk", 1, (200, 60, 60), (nan, nan), radius=2.0),
-        SceneObject("rectangle", 1, (60, 60, 200), (3.0, 3.0),
-                    size=(4.0, 4.0), velocity=(nan, 0.0))])
-    assert_same_bytes(spec)
-    assert all(np.all(mask.labels == 0) for _, mask, _ in generate(spec))
-
-
 def _bench_scene(width, height, num_classes, objects):
     return parse_scene_config(f"""\
 width = {width}

@@ -69,6 +69,11 @@ class TestWarpFeatures:
         with pytest.raises(ValueError):
             warp_features(random_features(rng), FlowField.zeros(6, 7), -0.5)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_lambda_rejected(self, rng, lam):
+        with pytest.raises(ValueError, match="lam"):
+            warp_features(random_features(rng), FlowField.zeros(6, 7), lam)
+
     def test_shape_preserved(self, rng):
         fm = random_features(rng)
         flow = FlowField(rng.normal(0, 2, (6, 7)).astype(np.float32),
