@@ -6,8 +6,7 @@ from .core import (FeatureMap, FlowField, FormatError, Frame, PipelineConfig,
                    SegmentationMask, read_features, read_flow, read_frame,
                    read_mask, write_features, write_flow, write_frame,
                    write_mask)
-from .flow import (FlowEstimator, downscale_frame, estimate_flow,
-                   polynomial_expansion, resize_flow, to_grayscale)
+from .flow import FlowEstimator, downscale_frame, resize_flow, to_grayscale
 from .fusion import ema_fuse
 from .model import ModelSpec, decode, encode
 from .pipeline import (Segmenter, StageTiming, alpha_sweep, benchmark_report,

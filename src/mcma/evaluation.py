@@ -125,8 +125,8 @@ def evaluate_run(preds_by_method: Mapping[str, Sequence],
 
     All sequences are aligned: entry k of every prediction list, of gts and
     of flows belongs to the same labeled frame. Returns rows of
-    (method, subset, miou). With video_ids, quantiles are computed per video
-    instead of over the whole run.
+    (method, subset, miou). With video_ids, quantiles are computed per video;
+    without them, the run is one video.
     """
     n = len(gts)
     if n == 0:
@@ -145,20 +145,17 @@ def evaluate_run(preds_by_method: Mapping[str, Sequence],
     motions = [motion_in_input_pixels(fl, h, w) for fl in flows]
 
     if video_ids is None:
-        part = motion_quantile_partition(motions)
-        subsets = {"all": list(range(n)), "low20": part.low,
-                   "mid60": part.mid, "high20": part.high}
-    else:
-        if len(video_ids) != n:
-            raise ValueError("need one video id per labeled frame")
-        subsets = {name: [] for name in SUBSETS}
-        subsets["all"] = list(range(n))
-        for vid in sorted(set(video_ids), key=str):
-            idx = [i for i in range(n) if video_ids[i] == vid]
-            part = motion_quantile_partition([motions[i] for i in idx])
-            subsets["low20"] += [idx[i] for i in part.low]
-            subsets["mid60"] += [idx[i] for i in part.mid]
-            subsets["high20"] += [idx[i] for i in part.high]
+        video_ids = [0] * n
+    elif len(video_ids) != n:
+        raise ValueError("need one video id per labeled frame")
+    subsets = {name: [] for name in SUBSETS}
+    subsets["all"] = list(range(n))
+    for vid in sorted(set(video_ids), key=str):
+        idx = [i for i in range(n) if video_ids[i] == vid]
+        part = motion_quantile_partition([motions[i] for i in idx])
+        subsets["low20"] += [idx[i] for i in part.low]
+        subsets["mid60"] += [idx[i] for i in part.mid]
+        subsets["high20"] += [idx[i] for i in part.high]
 
     rows = []
     for method, preds in preds_by_method.items():

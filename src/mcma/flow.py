@@ -8,11 +8,12 @@ Estimation Based on Polynomial Expansion", SCIA 2003). The settings are fixed:
 3 pyramid levels at scale 0.5, a 15-pixel window, 3 iterations per level, and
 a 5x5 expansion neighbourhood with Gaussian sigma 1.1.
 
-``FlowEstimator`` streams: each pushed frame is converted to gray,
-pyramided and polynomial-expanded once, and its per-level expansions are
-kept for the next pair, so a clip costs one expansion per frame and level.
-The expansions are stored, and the displacement solve runs over whole
-arrays, in float32.
+``FlowEstimator.push`` is the one way from frames to a flow field: each
+pushed frame is converted to gray, pyramided and polynomial-expanded once,
+and its per-level expansions are kept for the next pair, so a clip costs
+one expansion per frame and level. The flow of a single pair is two pushes
+to a fresh estimator. The expansions are stored, and the displacement
+solve runs over whole arrays, in float32.
 
 Scratch: the expansion's and the solve's temporaries live in one float64
 block of ``SCRATCH_PLANES`` planes of the finest level (7.2 MB at
@@ -20,14 +21,11 @@ block of ``SCRATCH_PLANES`` planes of the finest level (7.2 MB at
 block. ``FlowEstimator`` makes its block on the first push and again only
 when the frame size changes, so the flow path allocates no large
 temporaries in steady state and its speed does not depend on whether the
-allocator gave the last frame's memory back to the system.
-``polynomial_expansion``, ``_solve_level``, ``expand`` and
-``estimate_flow`` take the block as an optional last argument and make
-one when it is not given. The expansion and the solve never run at the
-same time, so they share it. The block holds temporaries only: the kept
-expansions and the returned fields are fresh arrays, and nothing read
-from the block outlives the call that wrote it, so callers may keep every
-result while the block is reused.
+allocator gave the last frame's memory back to the system. The expansion
+and the solve never run at the same time, so they share it. The block
+holds temporaries only: the kept expansions and the returned fields are
+fresh arrays, and nothing read from the block outlives the call that
+wrote it, so callers may keep every result while the block is reused.
 
 Convention: the returned field is backward flow on the *current* frame's
 grid. A pixel p of the current frame originates from p + (u(p), v(p)) in the
@@ -149,19 +147,18 @@ def _carve(scratch: np.ndarray, shape, *dtypes):
     return arrays
 
 
-def polynomial_expansion(img: np.ndarray, scratch=None):
+def polynomial_expansion(img: np.ndarray, scratch: np.ndarray):
     """Per-pixel weighted least-squares quadratic fit of a 2-D float64 array.
 
     Returns (a11, a12, a22, b1, b2) arrays: f(p + (x, y)) is approximated
     by a11 x^2 + 2 a12 xy + a22 y^2 + b1 x + b2 y + c with Gaussian weights of
     std POLY_SIGMA over a POLY_N x POLY_N neighbourhood. The solve never
     reads the constant term c, so it is not computed. The arrays are views
-    into ``scratch`` (a new block when it is None), valid until its next use.
+    into ``scratch``, a ``_scratch`` block for ``img``'s shape or a finer
+    one, valid until its next use.
     """
     h, w = img.shape
     n = h * w
-    if scratch is None:
-        scratch = _scratch(img.shape)
     proj = scratch[:6 * n].reshape(6, h, w)
     rows = scratch[6 * n:9 * n].reshape(3, h, w)
     for kernel, row in zip(_KERNELS, rows):
@@ -198,28 +195,24 @@ def _pyramid(img: np.ndarray):
     return pyr
 
 
-def expand(frame: Frame, scratch=None) -> list:
+def expand(frame: Frame, scratch: np.ndarray) -> list:
     """The frame's (a11, a12, a22, b1, b2) expansions at each pyramid level,
-    fine to coarse: everything the solve needs from one frame. The float32
-    arrays are fresh; ``scratch`` holds only the expansion's temporaries."""
+    fine to coarse: what ``FlowEstimator`` keeps of a frame for the next
+    pair. The float32 arrays are fresh; ``scratch`` holds only the
+    expansion's temporaries."""
     img = to_grayscale(frame).data[:, :, 0].astype(np.float64)
-    if scratch is None:
-        scratch = _scratch(img.shape)
     return [tuple(a.astype(np.float32)
                   for a in polynomial_expansion(level, scratch))
             for level in _pyramid(img)]
 
 
-def _solve_level(cur, prev, u, v, scratch=None):
+def _solve_level(cur, prev, u, v, scratch: np.ndarray):
     """ITERATIONS updates of (u, v) at one level, in place; returns (u, v).
     ``cur`` and ``prev`` are the two frames' expansions at that level, and
-    the temporaries are carved from ``scratch`` (a new block when None).
-    Each step is the float32 operation of the plain expression in the
-    comment above it, in its order, so the result does not depend on
-    where the temporaries live."""
+    the temporaries are carved from ``scratch``. Each step is the float32
+    operation of the plain expression in the comment above it, in its
+    order, so the result does not depend on where the temporaries live."""
     h, w = u.shape
-    if scratch is None:
-        scratch = _scratch(u.shape)
     a11c, a12c, a22c, b1c, b2c = cur
     a11p, a12p, a22p, b1p, b2p = (a.ravel() for a in prev)
     xx = np.arange(w, dtype=np.float32)
@@ -295,23 +288,16 @@ def _solve_level(cur, prev, u, v, scratch=None):
     return u, v
 
 
-def estimate_flow(prev, curr: Frame, curr_levels=None,
-                  scratch=None) -> FlowField:
+def estimate_flow(prev: list, curr: Frame, levels: list,
+                  scratch: np.ndarray) -> FlowField:
     """Backward flow on the current frame's grid (see module docstring).
 
-    ``prev`` is the previous frame or its ``expand`` output; pass the
-    current frame's ``expand`` output as ``curr_levels`` when it is at hand.
-    ``scratch`` is a block for the current frame's size (see the module
-    docstring); one is made when it is None.
+    ``prev`` and ``levels`` are the ``expand`` outputs of the previous
+    frame and of ``curr``, and ``scratch`` is the estimator's block for
+    ``curr``'s size. ``FlowEstimator.push`` is the only caller.
     """
-    if isinstance(prev, Frame):
-        prev = expand(prev, scratch)
     if prev[0][0].shape != (curr.height, curr.width):
         raise ValueError("frames must share dimensions")
-    if scratch is None:
-        scratch = _scratch(prev[0][0].shape)
-    levels = expand(curr, scratch) if curr_levels is None else curr_levels
-
     # solve with image1 = current and image2 = previous so the displacement
     # points from the current grid into the previous frame; u and v are
     # fresh arrays, updated in place, so the field returned owns them
@@ -335,7 +321,8 @@ class FlowEstimator:
     ``push`` takes the next frame (on the flow grid) and returns its flow
     from the frame pushed before it, or None for the first frame. Each
     frame is expanded once; the last frame's expansions are kept for the
-    next pair. A push that fails leaves the estimator as it was.
+    next pair, and ``push`` hands both to ``estimate_flow``. A push that
+    fails leaves the estimator as it was.
 
     The estimator also owns one scratch block (see the module docstring),
     made on the first push and again when the frame size changes. The block

@@ -34,8 +34,9 @@ def _check_class_count(count: int) -> None:
 
 @dataclass
 class ModelSpec:
-    """``prototypes[k]`` is the (r, g, b) color of class k. A spec with
-    ``feature_dir`` replays MCFE files instead; give exactly one of them."""
+    """``prototypes[k]`` is the (r, g, b) color of class k, components in
+    0..255. A spec with ``feature_dir`` replays MCFE files instead; give
+    exactly one of them."""
 
     prototypes: Sequence[tuple] = ()
     feature_stride: int = 4
@@ -50,6 +51,10 @@ class ModelSpec:
             _check_class_count(len(self.prototypes))
             if any(len(color) != 3 for color in self.prototypes):
                 raise ValueError("each prototype must be an (r, g, b) color")
+            # encode compares them with uint8 pixels; NaN fails the comparison
+            if not all(0 <= c <= 255 for color in self.prototypes
+                       for c in color):
+                raise ValueError("prototypes must be finite and in 0..255")
 
 
 def feature_file_path(feature_dir: str, frame_index: int) -> str:

@@ -30,6 +30,9 @@ from .core import (FlowField, Frame, SegmentationMask, write_flow, write_frame,
 from .model import ModelSpec
 
 MAX_SPEED = 8.0
+# longest rectangle side or disk diameter: an object's texture tile spans
+# its whole extent, whatever part of it the frame shows
+MAX_EXTENT = 2048
 NOISE_BLOB_RADIUS = 3
 
 
@@ -61,6 +64,10 @@ class SceneObject:
         _check_finite("velocity", *self.velocity)
         _check_finite("size", *self.size)
         _check_finite("radius", self.radius)
+        if max(self.size) > MAX_EXTENT:
+            raise ValueError(f"size must be at most {MAX_EXTENT} px a side")
+        if 2 * self.radius > MAX_EXTENT:
+            raise ValueError(f"radius must be at most {MAX_EXTENT // 2} px")
         if max(abs(self.velocity[0]), abs(self.velocity[1])) > MAX_SPEED:
             raise ValueError(f"object speed components must be <= {MAX_SPEED}")
         if self.shape == "rectangle" and min(self.size) <= 0:

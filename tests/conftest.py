@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mcma import FlowField, Frame
+from mcma import FlowEstimator, FlowField, Frame
 
 
 def smooth_texture(height, width, seed, cutoff=0.002):
@@ -27,6 +27,14 @@ def shifted_pair(height, width, seed, dx, dy):
     prev = Frame(base[:, :, None])
     curr = Frame(np.roll(base, (dy, dx), axis=(0, 1))[:, :, None], index=1)
     return prev, curr
+
+
+def pair_flow(prev, curr):
+    """Backward flow from ``prev`` to ``curr``: two pushes to a fresh
+    FlowEstimator."""
+    est = FlowEstimator()
+    est.push(prev)
+    return est.push(curr)
 
 
 def slow_sources(encode, delay):

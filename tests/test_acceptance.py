@@ -12,13 +12,13 @@ from scipy import stats
 
 from mcma import (FeatureMap, FlowField, Frame, ModelSpec, PipelineConfig,
                   SceneObject, SceneSpec, Segmenter, alpha_sweep, ema_fuse,
-                  estimate_flow, evaluate_run, fp_rate, generate, miou,
-                  model_spec_from_scene, motion_quantile_partition,
-                  resize_flow, run, warp_features)
+                  evaluate_run, fp_rate, generate, miou, model_spec_from_scene,
+                  motion_quantile_partition, resize_flow, run, warp_features)
 from mcma.flow import downscale_frame
 from mcma.model import decode, encode
 
-from conftest import flow_encode_overlap, shifted_pair, slow_sources
+from conftest import (flow_encode_overlap, pair_flow, shifted_pair,
+                      slow_sources)
 
 
 def report(name, ok):
@@ -134,12 +134,12 @@ def test_criterion_3_flow_accuracy():
         dy = int(rng.integers(-5, 6))
         prev, curr = shifted_pair(128, 160, seed=100 + trial, dx=dx, dy=dy)
 
-        flow = estimate_flow(prev, curr)
+        flow = pair_flow(prev, curr)
         epe = np.hypot(flow.u + dx, flow.v + dy)
         full_epe.append(epe[m:-m, m:-m].mean())
 
-        qflow = estimate_flow(downscale_frame(prev, 0.25),
-                              downscale_frame(curr, 0.25))
+        qflow = pair_flow(downscale_frame(prev, 0.25),
+                          downscale_frame(curr, 0.25))
         up = resize_flow(qflow, 128, 160)
         epe_q = np.hypot(up.u + dx, up.v + dy)
         quarter_epe.append(epe_q[m:-m, m:-m].mean())

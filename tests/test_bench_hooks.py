@@ -22,6 +22,15 @@ NOT_IN_CLI_RUN = {"cli.load_frames"}
 AFTER_CLI_RUN = {"core.write_mask"}
 
 
+def assert_one_flow_per_pair(flows, frames, grid):
+    """perfbench's epe_px looks each recorded flow up by its frame index:
+    frames 1..n-1, each once, on the flow grid."""
+    assert len(flows) == frames - 1
+    assert {index for index, _ in flows} == set(range(1, frames))
+    for _, flow in flows:
+        assert (flow.height, flow.width) == grid
+
+
 @pytest.fixture(scope="module")
 def tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
@@ -53,12 +62,13 @@ def test_traced_run_reaches_every_hook(tracing):
     tracer.install()
     try:
         mcma.pipeline.run(frames, cfg, spec)  # looked up as the hook is
-        spans, _ = tracer.take()
+        spans, flows = tracer.take()
     finally:
         tracer.uninstall()
     reached = {span.name for span in spans}
     expected = {tracing.ENTRY} | set(tracing.LEAVES) - CLI_ONLY
     assert expected <= reached, sorted(expected - reached)
+    assert_one_flow_per_pair(flows, len(frames), (24, 32))
 
 
 def test_traced_cli_run_reaches_every_hook(tracing, tmp_path):
@@ -76,7 +86,7 @@ def test_traced_cli_run_reaches_every_hook(tracing, tmp_path):
     tracer.install()
     try:
         assert mcma.cli.main(argv) == 0
-        spans, _ = tracer.take()
+        spans, flows = tracer.take()
     finally:
         tracer.uninstall()
     by_id = {span.id: span for span in spans}
@@ -94,3 +104,4 @@ def test_traced_cli_run_reaches_every_hook(tracing, tmp_path):
     outside = {span.name for span in spans
                if span is not entries[0] and not under_entry(span)}
     assert outside == AFTER_CLI_RUN
+    assert_one_flow_per_pair(flows, 3, (24, 32))

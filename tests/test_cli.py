@@ -92,7 +92,11 @@ class TestGenerate:
         ("object = shape=disk class=1 color=200,60,60 center=inf,12 "
          "radius=3", "position"),
         ("object = shape=disk class=1 color=200,60,60 center=4,4 "
-         "radius=nan", "radius")])
+         "radius=nan", "radius"),
+        ("object = shape=disk class=1 color=200,60,60 center=4,4 "
+         "radius=1e7", "radius"),
+        ("object = shape=rectangle class=1 color=200,60,60 topleft=4,4 "
+         "size=1e9,3", "size")])
     def test_bad_number_exits_1(self, tmp_path, capsys, line, field):
         cfg = tmp_path / "scene.cfg"
         cfg.write_text(SCENE + line + "\n")

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+import mcma.evaluation
 from mcma import (FlowField, SegmentationMask, evaluate_run, fp_rate, miou,
                   motion_in_input_pixels, motion_quantile_partition,
                   report_csv)
-from mcma.evaluation import pooled_miou
+from mcma.evaluation import SUBSETS, pooled_miou
 
 
 def mask(arr):
@@ -214,8 +215,40 @@ class TestEvaluateRun:
         assert lines[0] == "method,subset,miou"
         assert len(lines) == 1 + 4
 
-    def test_per_video_partition(self):
-        preds, gts, flows = self._inputs(n=12)
-        vids = ["a"] * 6 + ["b"] * 6
+    def test_per_video_partition(self, monkeypatch):
+        # video "a" moves less than "b" everywhere, so a whole-run split
+        # would put only "a" in low20 and only "b" in high20
+        motions = [3, 12, 0, 15, 5, 10, 1, 14, 4, 11, 2, 13]
+        vids = ["a", "b"] * 6
+        n = len(motions)
+        preds, gts, _ = self._inputs(n=n)
+        flows = [FlowField(np.full((8, 8), float(m), np.float32),
+                           np.zeros((8, 8), np.float32)) for m in motions]
+        pooled = []  # run positions of each pooled_miou call's frames
+
+        def spy(subset_preds, subset_gts, num_classes):
+            subset_preds = list(subset_preds)
+            pooled.append([next(k for k, p in enumerate(preds) if p is q)
+                           for q in subset_preds])
+            return pooled_miou(subset_preds, subset_gts, num_classes)
+
+        monkeypatch.setattr(mcma.evaluation, "pooled_miou", spy)
         rows = evaluate_run({"m": preds}, gts, flows, 2, video_ids=vids)
-        assert len(rows) == 4
+        assert [subset for _, subset, _ in rows] == list(SUBSETS)
+        got = dict(zip(SUBSETS, pooled, strict=True))
+        assert got["all"] == list(range(n))
+        want = {"low20": [], "mid60": [], "high20": []}
+        for vid in ("a", "b"):
+            idx = [i for i in range(n) if vids[i] == vid]
+            part = motion_quantile_partition([motions[i] for i in idx])
+            for name, sub in zip(want, (part.low, part.mid, part.high)):
+                want[name] += [idx[i] for i in sub]
+        for name in want:
+            assert sorted(got[name]) == sorted(want[name]), name
+        assert sorted(want["low20"]) != motion_quantile_partition(motions).low
+
+    def test_one_video_equals_whole_run(self):
+        preds, gts, flows = self._inputs(n=12)
+        whole = evaluate_run({"m": preds}, gts, flows, 2)
+        assert evaluate_run({"m": preds}, gts, flows, 2,
+                            video_ids=["v"] * 12) == whole

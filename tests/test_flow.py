@@ -5,12 +5,12 @@ import pytest
 
 import mcma.flow
 from mcma import (FlowEstimator, FlowField, Frame, SceneObject, SceneSpec,
-                  downscale_frame, estimate_flow, generate,
-                  motion_in_input_pixels, polynomial_expansion, resize_flow,
-                  to_grayscale)
-from mcma.flow import POLY_N, POLY_SIGMA, PYRAMID_LEVELS, _pyramid
+                  downscale_frame, generate, motion_in_input_pixels,
+                  resize_flow, to_grayscale)
+from mcma.flow import (POLY_N, POLY_SIGMA, PYRAMID_LEVELS, _pyramid, _scratch,
+                       polynomial_expansion)
 
-from conftest import shifted_pair, smooth_texture
+from conftest import pair_flow, shifted_pair, smooth_texture
 
 
 class TestGrayscale:
@@ -54,12 +54,13 @@ class TestPolynomialExpansion:
     def test_constant_image(self):
         img = np.full((12, 12), 100.0)
         inner = (slice(3, -3), slice(3, -3))
-        for arr in polynomial_expansion(img):
+        for arr in polynomial_expansion(img, _scratch(img.shape)):
             assert np.allclose(arr[inner], 0.0, atol=1e-8)
 
     def test_linear_ramp(self):
         ramp = np.tile(np.arange(16, dtype=np.float64), (12, 1))
-        a11, a12, a22, b1, b2 = polynomial_expansion(ramp)
+        a11, a12, a22, b1, b2 = polynomial_expansion(ramp,
+                                                     _scratch(ramp.shape))
         inner = (slice(3, -3), slice(3, -3))
         assert np.allclose(b1[inner], 1.0, atol=1e-8)
         assert np.allclose(b2[inner], 0.0, atol=1e-8)
@@ -68,7 +69,7 @@ class TestPolynomialExpansion:
     def test_against_normal_equation_oracle(self):
         rng = np.random.default_rng(7)
         img = rng.normal(100, 25, (14, 15))
-        got = polynomial_expansion(img)
+        got = polynomial_expansion(img, _scratch(img.shape))
         for (y, x) in [(5, 5), (7, 9), (3, 11)]:
             want = brute_force_expansion(img, y, x, POLY_N, POLY_SIGMA)
             for g, wv in zip(got, want[:5], strict=True):
@@ -77,7 +78,7 @@ class TestPolynomialExpansion:
     def test_single_bright_pixel_finite(self):
         img = np.zeros((10, 10))
         img[4, 6] = 255.0
-        for arr in polynomial_expansion(img):
+        for arr in polynomial_expansion(img, _scratch(img.shape)):
             assert np.all(np.isfinite(arr))
 
 
@@ -85,7 +86,7 @@ class TestEstimateFlow:
     def test_identical_frames_zero(self):
         base = smooth_texture(96, 128, 4)
         f = Frame(base[:, :, None])
-        flow = estimate_flow(f, f)
+        flow = pair_flow(f, f)
         assert np.abs(flow.u).max() < 0.05
         assert np.abs(flow.v).max() < 0.05
 
@@ -93,7 +94,7 @@ class TestEstimateFlow:
     def test_integer_translation(self, shift):
         dx, dy = shift
         prev, curr = shifted_pair(128, 128, 21, dx, dy)
-        flow = estimate_flow(prev, curr)
+        flow = pair_flow(prev, curr)
         m = 16 + max(abs(dx), abs(dy))
         interior = (slice(m, -m), slice(m, -m))
         epe = np.hypot(flow.u[interior] + dx, flow.v[interior] + dy).mean()
@@ -106,14 +107,14 @@ class TestEstimateFlow:
         curr = Frame(np.full((23, 37, 1), 180, np.uint8))
         est = FlowEstimator()
         est.push(prev)
-        for flow in (estimate_flow(prev, curr), est.push(curr)):
+        for flow in (pair_flow(prev, curr), est.push(curr)):
             assert not flow.u.any() and not flow.v.any()
 
     def test_dimension_mismatch(self):
         a = Frame(np.zeros((8, 8, 1), np.uint8))
         b = Frame(np.zeros((8, 10, 1), np.uint8))
         with pytest.raises(ValueError):
-            estimate_flow(a, b)
+            pair_flow(a, b)
 
 
 def panning_clip(width, height, frames=6):
@@ -159,7 +160,7 @@ class TestFlowEstimator:
         assert est.push(frames[0]) is None
         for prev, curr in zip(frames, frames[1:]):
             got = est.push(curr)
-            want = estimate_flow(prev, curr)
+            want = pair_flow(prev, curr)
             assert got.u.tobytes() == want.u.tobytes()
             assert got.v.tobytes() == want.v.tobytes()
 
@@ -178,7 +179,7 @@ class TestFlowEstimator:
             est.push(frame)
         assert len(calls) == 3 * len(frames)
         calls.clear()
-        estimate_flow(frames[0], frames[1])
+        pair_flow(frames[0], frames[1])
         assert len(calls) == 6
 
     def test_kept_results_do_not_alias_scratch(self):
@@ -187,12 +188,12 @@ class TestFlowEstimator:
         est = FlowEstimator()
         flows = [est.push(frame) for frame in frames[:6]]
         for prev, curr, got in zip(frames, frames[1:6], flows[1:]):
-            want = estimate_flow(prev, curr)
+            want = pair_flow(prev, curr)
             assert got.u.tobytes() == want.u.tobytes()
             assert got.v.tobytes() == want.v.tobytes()
         # the kept expansions survived those pairwise calls too
         got = est.push(frames[6])
-        want = estimate_flow(frames[5], frames[6])
+        want = pair_flow(frames[5], frames[6])
         assert got.u.tobytes() == want.u.tobytes()
         assert got.v.tobytes() == want.v.tobytes()
 
@@ -224,7 +225,7 @@ class TestFlowEstimator:
             with pytest.raises(RuntimeError):
                 est.push(frames[2])
         got = est.push(frames[1])
-        want = estimate_flow(frames[0], frames[1])
+        want = pair_flow(frames[0], frames[1])
         assert got.u.tobytes() == want.u.tobytes()
         assert got.v.tobytes() == want.v.tobytes()
 

@@ -33,6 +33,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="r, g, b"):
             ModelSpec(prototypes=[(9, 9, 9), color])
 
+    @pytest.mark.parametrize("color", [(0, 0, np.nan), (np.inf, 0, 0),
+                                       (0, -1, 0), (0, 0, 256)])
+    def test_prototypes_are_finite_colors(self, color):
+        # rejected here rather than blamed on the first frame's encode
+        with pytest.raises(ValueError, match="^prototypes "):
+            ModelSpec(prototypes=[color, (1, 1, 1)])
+
     def test_256_classes_decode_to_top_label(self):
         spec = ModelSpec(feature_stride=1, feature_dir="features")
         data = np.zeros((256, 2, 2), np.float32)

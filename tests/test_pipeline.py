@@ -10,14 +10,14 @@ import mcma.flow
 import mcma.pipeline
 from mcma import (FeatureMap, Frame, ModelSpec, PipelineConfig,
                   SceneObject, SceneSpec, Segmenter, alpha_sweep,
-                  benchmark_report, estimate_flow, generate,
-                  model_spec_from_scene, run, write_features)
+                  benchmark_report, generate, model_spec_from_scene, run,
+                  write_features)
 from mcma.flow import FlowEstimator
 from mcma.fusion import ema_fuse
 from mcma.model import decode, encode, feature_file_path
 from mcma.pipeline import PipelineError, StageTiming, timings_csv
 
-from conftest import flow_encode_overlap, slow_sources
+from conftest import flow_encode_overlap, pair_flow, slow_sources
 
 
 def moving_scene(frames=20, width=128, height=96, seed=2, velocity=(3, 1)):
@@ -447,7 +447,7 @@ class TestSegmenter:
             f"pipeline failed at frame 1 ({stage}): {name} unavailable")
         monkeypatch.undo()
         got = [m for m, _ in seg.stream(frames[1:])]
-        want = estimate_flow(frames[0], frames[1])
+        want = pair_flow(frames[0], frames[1])
         assert flows[-2].u.tobytes() == want.u.tobytes()
         assert flows[-2].v.tobytes() == want.v.tobytes()
         for a, b in zip(expected[1:], got):

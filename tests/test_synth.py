@@ -6,6 +6,7 @@ from mcma import (SceneObject, SceneSpec, fp_rate, generate,
                   prototypes_from_scene, save_dataset)
 from mcma.core import read_flow, read_frame, read_mask
 from mcma.model import decode, encode
+from mcma.synth import MAX_EXTENT
 
 
 def disk_scene(**kwargs):
@@ -96,7 +97,10 @@ class TestGenerate:
         ("color", (999, 60, 60)), ("color", (-1, 60, 60)),
         ("color", (np.nan, 60, 60)), ("position", (np.inf, 12)),
         ("velocity", (np.nan, 0)), ("size", (np.inf, 3)),
-        ("radius", np.nan), ("radius", np.inf)])
+        ("radius", np.nan), ("radius", np.inf),
+        # finite, but generate would size a texture tile by the extent
+        ("radius", 1e7), ("radius", 1e300), ("radius", 1024.5),
+        ("size", (1e9, 3)), ("size", (4, 2049))])
     @pytest.mark.parametrize("shape", ["disk", "rectangle"])
     def test_object_rejects_bad_numbers(self, shape, field, value):
         kwargs = dict(shape=shape, class_id=1, color=(200, 60, 60),
@@ -104,6 +108,11 @@ class TestGenerate:
         kwargs[field] = value
         with pytest.raises(ValueError, match=f"^{field} "):
             SceneObject(**kwargs)
+
+    def test_object_extent_limit_is_inclusive(self):
+        SceneObject("disk", 1, (200, 60, 60), (5, 5), radius=MAX_EXTENT / 2)
+        SceneObject("rectangle", 1, (200, 60, 60), (5, 5),
+                    size=(MAX_EXTENT, MAX_EXTENT))
 
     @pytest.mark.parametrize("field, value", [
         ("background_color", (-5, 300, 40)),
