@@ -32,6 +32,8 @@ def _parse_object(text: str) -> SceneObject:
         if "=" not in token:
             raise ValueError(f"bad object token {token!r}")
         key, val = token.split("=", 1)
+        if key in kv:
+            raise ValueError(f"repeated object key {key!r}")
         kv[key] = val
     shape = None
 
@@ -81,6 +83,8 @@ def parse_scene_config(text: str) -> SceneSpec:
         key, val = (part.strip() for part in line.split("=", 1))
         if key == "object":
             objects.append(_parse_object(val))
+        elif key in kv:
+            raise ValueError(f"repeated config key {key!r}")
         else:
             kv[key] = val
 
@@ -180,6 +184,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_bench(args) -> int:
     frames = load_frames(args.frames)
+    if len(frames) < 3:
+        raise ValueError(f"bench needs at least 3 frames, got {len(frames)}")
     spec = _model_spec(args, args.frames)
     reports = []
     for scale in FLOW_SCALES:

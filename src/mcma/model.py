@@ -19,17 +19,17 @@ import numpy as np
 from scipy import ndimage
 
 from .core import FeatureMap, Frame, SegmentationMask, read_features
-from .resample import area_mean, half_pixel, taps
+from .resample import area_mean, gather, half_pixel
 
 _FLT_MAX = float(np.finfo(np.float32).max)
 # scores evaluated per chunk of boundary blocks, which bounds their memory
 _CHUNK = 1 << 18
 
 
-def _check_class_count(count: int) -> None:
+def _check_class_count(count: int, name: str = "class count") -> None:
     if not 2 <= count <= 256:
-        # decode writes uint8 labels
-        raise ValueError(f"class count must be in [2, 256], got {count}")
+        # labels are uint8
+        raise ValueError(f"{name} must be in [2, 256], got {count}")
 
 
 @dataclass
@@ -105,10 +105,10 @@ def decode(features: FeatureMap, spec: ModelSpec) -> SegmentationMask:
     and its gap g, the top score minus the runner-up. Every pixel of cell
     (i, j)'s s x s output block interpolates cells of the clamped 3 x 3
     neighbourhood of (i, j) only. If all nine have top class k and
-    g > delta, the block is labelled k. Every other block is evaluated
-    pixel by pixel with ``bilinear``'s float32 lerps, rows then columns,
-    so it rounds exactly as the full upsample does. Stride 1 is the argmax
-    at feature resolution.
+    g > delta, the block is labelled k. Every other block is sampled pixel
+    by pixel with ``resample.gather``, whose float32 lerps run in
+    ``bilinear``'s order, rows then columns, so it rounds exactly as the
+    full upsample does. Stride 1 is the argmax at feature resolution.
 
     The margin. Let M = max |score|, u = 2**-24 and eta = 2**-149 (the
     smallest subnormal). A float32 product is within u |x| + eta / 2 of
@@ -176,24 +176,14 @@ def _top_two(data: np.ndarray):
 
 def _decode_blocks(data, blocks, rows, cols) -> None:
     """Label the (h, s, w, s) blocks of feature cells (rows, cols) pixel by
-    pixel, with the float32 lerps of ``resample.bilinear``, rows then
-    columns, and their argmax."""
+    pixel: ``gather`` at their half-pixel positions, then argmax."""
     c, h, w = data.shape
     stride = blocks.shape[1]
-    fy, y0, y1 = taps(half_pixel(h * stride, h), h, data.dtype)
-    fx, x0, x1 = taps(half_pixel(w * stride, w), w, data.dtype)
-    flat = data.reshape(c, h * w)
+    pos_y, pos_x = half_pixel(h * stride, h), half_pixel(w * stride, w)
     offsets = np.arange(stride)
     step = max(1, _CHUNK // (c * stride * stride))
     for start in range(0, len(rows), step):
         r, q = rows[start:start + step], cols[start:start + step]
-        ys = (r[:, None] * stride + offsets)[:, :, None]
-        xs = (q[:, None] * stride + offsets)[:, None, :]
-        row0, row1, col0, col1 = y0[ys] * w, y1[ys] * w, x0[xs], x1[xs]
-        wy, wx = fy[ys], fx[xs]
-        top = flat.take(row0 + col0, axis=1)
-        left = top + wy * (flat.take(row1 + col0, axis=1) - top)
-        top = flat.take(row0 + col1, axis=1)
-        right = top + wy * (flat.take(row1 + col1, axis=1) - top)
-        scores = left + wx * (right - left)
-        blocks[r, :, q] = np.argmax(scores, axis=0)
+        y = pos_y[(r[:, None] * stride + offsets)[:, :, None]]
+        x = pos_x[(q[:, None] * stride + offsets)[:, None, :]]
+        blocks[r, :, q] = np.argmax(gather(data, x, y), axis=0)

@@ -2,10 +2,10 @@
 
 A coordinate map ``coords(n_out, n_in)`` places each output sample on the
 source grid: ``align_corners`` pins both grids' end samples together (flow
-pyramid, flow resize), ``half_pixel`` aligns pixel centres (decoder). The
-decoder does not call ``bilinear``: it takes ``half_pixel`` positions
-through ``taps`` and repeats ``bilinear``'s lerps only where class
-boundaries need them (see ``model.decode``).
+pyramid, flow resize), ``half_pixel`` aligns pixel centres (decoder).
+There is one lerp order, rows (y) then columns, so ``gather`` at a grid's
+positions equals ``bilinear`` byte for byte: the decoder samples its
+boundary pixels with ``gather`` (see ``model.decode``), as the warp does.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ def half_pixel(n_out: int, n_in: int) -> np.ndarray:
     return (np.arange(n_out) + 0.5) / (n_out / n_in) - 0.5
 
 
-def taps(pos: np.ndarray, n: int, dtype):
+def _taps(pos: np.ndarray, n: int, dtype):
     """Clamp positions to [0, n - 1]; returns (weight of hi, lo, hi)."""
     pos = np.clip(pos, 0, n - 1)
     lo = np.floor(pos).astype(np.intp)
@@ -60,8 +60,8 @@ def bilinear(data: np.ndarray, out_h: int, out_w: int, coords) -> np.ndarray:
     in_h, in_w = data.shape[-2:]
     if (in_h, in_w) == (out_h, out_w):
         return data
-    fy, y0, y1 = taps(coords(out_h, in_h), in_h, data.dtype)
-    fx, x0, x1 = taps(coords(out_w, in_w), in_w, data.dtype)
+    fy, y0, y1 = _taps(coords(out_h, in_h), in_h, data.dtype)
+    fx, x0, x1 = _taps(coords(out_w, in_w), in_w, data.dtype)
     # each lerp a + f * (b - a) runs in place on the b it allocates
     top = data.take(y0, axis=-2)
     rows = data.take(y1, axis=-2)
@@ -77,15 +77,16 @@ def bilinear(data: np.ndarray, out_h: int, out_w: int, coords) -> np.ndarray:
 
 
 def gather(data: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Sample (c, h, w) data at real-valued coordinate arrays, clamped.
-    Each corner is read with one ``take`` of the flat index y * w + x."""
+    """Sample (c, h, w) data at real-valued coordinates x and y, clamped;
+    they broadcast to the output's trailing shape. Lerps run rows, then
+    columns, as in ``bilinear``. Each corner is one ``take`` of y * w + x."""
     c, h, w = data.shape
-    fx, x0, x1 = taps(x, w, data.dtype)
-    fy, y0, y1 = taps(y, h, data.dtype)
+    fx, x0, x1 = _taps(x, w, data.dtype)
+    fy, y0, y1 = _taps(y, h, data.dtype)
     flat = data.reshape(c, h * w)
     row0, row1 = y0 * w, y1 * w
-    top = flat.take(row0 + x0, axis=1)
-    top = top + fx * (flat.take(row0 + x1, axis=1) - top)
-    bot = flat.take(row1 + x0, axis=1)
-    bot = bot + fx * (flat.take(row1 + x1, axis=1) - bot)
-    return top + fy * (bot - top)
+    left = flat.take(row0 + x0, axis=1)
+    left = left + fy * (flat.take(row1 + x0, axis=1) - left)
+    right = flat.take(row0 + x1, axis=1)
+    right = right + fy * (flat.take(row1 + x1, axis=1) - right)
+    return left + fx * (right - left)

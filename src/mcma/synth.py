@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import (FlowField, Frame, SegmentationMask, write_flow, write_frame,
                    write_mask)
-from .model import ModelSpec
+from .model import ModelSpec, _check_class_count
 
 MAX_SPEED = 8.0
 # longest rectangle side or disk diameter: an object's texture tile spans
@@ -97,6 +97,7 @@ class SceneSpec:
             raise ValueError("scene must be at least 2x2")
         if self.frames < 1:
             raise ValueError("need at least one frame")
+        _check_class_count(self.num_classes, "num_classes")
         for obj in self.objects:
             if not 0 <= obj.class_id < self.num_classes:
                 raise ValueError("object class out of range")

@@ -23,7 +23,6 @@ def warp_features(features: FeatureMap, flow: FlowField,
         raise ValueError("lam (lambda) must be finite and nonnegative")
     if (flow.height, flow.width) != (features.height, features.width):
         raise ValueError("flow dimensions must match feature dimensions")
-    yy, xx = np.indices((features.height, features.width))
-    x = xx + lam * flow.u.astype(np.float64)
-    y = yy + lam * flow.v.astype(np.float64)
+    x = np.arange(features.width) + lam * flow.u.astype(np.float64)
+    y = np.arange(features.height)[:, None] + lam * flow.v.astype(np.float64)
     return FeatureMap(gather(features.data, x, y))

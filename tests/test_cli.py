@@ -22,6 +22,15 @@ object = shape=disk class=1 color=200,60,60 center=40,48 radius=14 velocity=3,0
 """
 
 
+def with_line(line):
+    """SCENE with ``line`` in place of its line of the same scalar key, or
+    appended."""
+    key = line.split("=", 1)[0].strip()
+    kept = [raw for raw in SCENE.splitlines()
+            if key == "object" or raw.split("=", 1)[0].strip() != key]
+    return "\n".join(kept + [line]) + "\n"
+
+
 @pytest.fixture
 def dataset(tmp_path):
     cfg = tmp_path / "scene.cfg"
@@ -68,6 +77,19 @@ class TestParseSceneConfig:
         with pytest.raises(ValueError, match=message):
             parse_scene_config(f"object = {fields}\n")
 
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ValueError, match="repeated config key 'width'"):
+            parse_scene_config("width = 100\nheight = 64\nwidth = 64\n")
+
+    def test_repeated_object_key_rejected(self):
+        with pytest.raises(ValueError, match="repeated object key 'class'"):
+            parse_scene_config("object = shape=disk class=1 class=0 "
+                               "color=1,2,3 center=4,4 radius=2\n")
+
+    def test_object_lines_may_repeat(self):
+        line = "object = shape=disk class=1 color=1,2,3 center=4,4 radius=2\n"
+        assert len(parse_scene_config(line + line).objects) == 2
+
 
 class TestGenerate:
     def test_reproducible(self, tmp_path):
@@ -98,13 +120,29 @@ class TestGenerate:
         ("object = shape=rectangle class=1 color=200,60,60 topleft=4,4 "
          "size=1e9,3", "size")])
     def test_bad_number_exits_1(self, tmp_path, capsys, line, field):
+        err = self.generate_fails(tmp_path, capsys, with_line(line))
+        assert err.startswith(f"error: {field} ")
+
+    @pytest.mark.parametrize("num_classes", [1, 300])
+    def test_class_count_exits_1(self, tmp_path, capsys, num_classes):
+        err = self.generate_fails(
+            tmp_path, capsys, with_line(f"num_classes = {num_classes}"))
+        assert err.startswith("error: num_classes must be in [2, 256]")
+
+    def test_repeated_key_exits_1(self, tmp_path, capsys):
+        err = self.generate_fails(tmp_path, capsys, SCENE + "frames = 3\n")
+        assert err.startswith("error: repeated config key 'frames'")
+
+    @staticmethod
+    def generate_fails(tmp_path, capsys, text):
+        """The stderr of an ``mcma generate`` that exits 1, writing nothing."""
         cfg = tmp_path / "scene.cfg"
-        cfg.write_text(SCENE + line + "\n")
+        cfg.write_text(text)
         out = tmp_path / "data"
         assert main(["generate", "--config", str(cfg),
                      "--out", str(out)]) == 1
-        assert f"error: {field} " in capsys.readouterr().err
         assert not out.exists()
+        return capsys.readouterr().err
 
     def test_layout(self, dataset):
         assert len(list((dataset / "frames").glob("*.ppm"))) == 12
@@ -276,3 +314,17 @@ class TestBench:
         assert lines[0] == "stage,mean_us,std_us,mode,flow_scale"
         # 6 stage rows + 1 hz row per (scale, executor) combination
         assert len(lines) == 1 + 6 * 7
+
+    def test_too_few_frames_exit_1_before_running(self, tmp_path, capsys):
+        cfg = tmp_path / "scene.cfg"
+        cfg.write_text(SCENE.replace("frames = 12", "frames = 2"))
+        data = tmp_path / "data"
+        assert main(["generate", "--config", str(cfg),
+                     "--out", str(data)]) == 0
+        capsys.readouterr()
+        csv_path = tmp_path / "bench.csv"
+        assert main(["bench", "--frames", str(data / "frames"),
+                     "--out", str(csv_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: bench needs at least 3 frames, got 2\n")
+        assert not csv_path.exists()

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mcma.resample import (align_corners, area_mean, bilinear, gather,
-                           half_pixel, taps)
+from mcma.resample import (_taps, align_corners, area_mean, bilinear,
+                           gather, half_pixel)
 
 
 def mean_oracle(data, k):
@@ -54,15 +54,15 @@ class TestBilinear:
 
 
 def gather_oracle(data, x, y):
-    """The warp sampler read through 2-D fancy indexes."""
+    """The warp sampler read through 2-D fancy indexes, rows then columns."""
     _, h, w = data.shape
-    fx, x0, x1 = taps(x, w, data.dtype)
-    fy, y0, y1 = taps(y, h, data.dtype)
-    top = data[:, y0, x0]
-    top = top + fx * (data[:, y0, x1] - top)
-    bot = data[:, y1, x0]
-    bot = bot + fx * (data[:, y1, x1] - bot)
-    return top + fy * (bot - top)
+    fx, x0, x1 = _taps(x, w, data.dtype)
+    fy, y0, y1 = _taps(y, h, data.dtype)
+    left = data[:, y0, x0]
+    left = left + fy * (data[:, y1, x0] - left)
+    right = data[:, y0, x1]
+    right = right + fy * (data[:, y1, x1] - right)
+    return left + fx * (right - left)
 
 
 class TestGather:
@@ -78,3 +78,18 @@ class TestGather:
         out = gather(data, x, y)
         assert out.dtype == np.float32 and out.shape == shape
         assert out.tobytes() == gather_oracle(data, x, y).tobytes()
+
+    @pytest.mark.parametrize("coords", [align_corners, half_pixel])
+    @pytest.mark.parametrize("shape, out", [
+        ((1, 16, 20), (64, 80)), ((2, 40, 64), (20, 16)),
+        ((3, 9, 7), (16, 3)), ((4, 2, 9), (2, 30)), ((3, 12, 10), (2, 5))])
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_equals_bilinear_on_a_grid(self, rng, coords, shape, out, scale):
+        # one lerp order: sampled at a grid's positions, gather rounds as
+        # bilinear does, so the decoder can sample boundary blocks with it
+        data = (scale * rng.normal(0, 1, shape)).astype(np.float32)
+        (_, h, w), (out_h, out_w) = shape, out
+        got = gather(data, coords(out_w, w)[None, :],
+                     coords(out_h, h)[:, None])
+        assert got.shape == (shape[0], out_h, out_w)
+        assert got.tobytes() == bilinear(data, out_h, out_w, coords).tobytes()

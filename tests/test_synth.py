@@ -124,6 +124,11 @@ class TestGenerate:
         with pytest.raises(ValueError, match=f"^{field} "):
             disk_scene(**{field: value})
 
+    @pytest.mark.parametrize("num_classes", [1, 257])
+    def test_class_count_fits_uint8_labels(self, num_classes):
+        with pytest.raises(ValueError, match=r"^num_classes .*\[2, 256\]"):
+            SceneSpec(num_classes=num_classes)
+
 
 class TestMotionProfile:
     def test_static_zero(self):
