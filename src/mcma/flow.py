@@ -5,8 +5,11 @@ neighbourhood is fitted with a quadratic f(x) ~ x'Ax + b'x + c under Gaussian
 weighting, and the displacement relating the two fits is solved over a local
 window, coarse-to-fine over an image pyramid (Farnebäck, "Two-Frame Motion
 Estimation Based on Polynomial Expansion", SCIA 2003). The settings are fixed:
-3 pyramid levels at scale 0.5, a 15-pixel window, 3 iterations per level, and
-a 5x5 expansion neighbourhood with Gaussian sigma 1.1.
+3 pyramid levels at scale 0.5, a 15-pixel window, 3, 2 and 1 iterations,
+coarse to fine, and a 5x5 expansion neighbourhood with Gaussian sigma 1.1.
+Each iteration samples the previous frame at the displacement rounded to
+whole pixels, so it cannot refine below a pixel; a fine level's later
+iterations would mostly re-round what the coarser levels already found.
 
 ``FlowEstimator.push`` is the one way from frames to a flow field: each
 pushed frame is converted to gray, pyramided and polynomial-expanded once,
@@ -46,7 +49,9 @@ from .resample import align_corners, area_mean, bilinear
 PYRAMID_LEVELS = 3
 PYRAMID_SCALE = 0.5
 WINDOW = 15
-ITERATIONS = 3
+# solve iterations per pyramid level, coarse to fine; a frame with fewer
+# levels uses the finest entries
+ITERATIONS = (3, 2, 1)
 POLY_N = 5
 POLY_SIGMA = 1.1
 # float64 planes of the finest level in a scratch block: the expansion's 6
@@ -206,8 +211,10 @@ def expand(frame: Frame, scratch: np.ndarray) -> list:
             for level in _pyramid(img)]
 
 
-def _solve_level(cur, prev, u, v, scratch: np.ndarray):
-    """ITERATIONS updates of (u, v) at one level, in place; returns (u, v).
+def _solve_level(cur, prev, u, v, scratch: np.ndarray, iterations: int):
+    """``iterations`` updates of (u, v) at one level, in place; returns
+    (u, v). ``estimate_flow`` gives the levels 3, 2 and 1 iterations,
+    coarse to fine (``ITERATIONS``).
     ``cur`` and ``prev`` are the two frames' expansions at that level, and
     the temporaries are carved from ``scratch``. Each step is the float32
     operation of the plain expression in the comment above it, in its
@@ -235,7 +242,7 @@ def _solve_level(cur, prev, u, v, scratch: np.ndarray):
         np.multiply(r, s, out=t2)
         box(np.add(t, t2, out=t), out)
 
-    for _ in range(ITERATIONS):
+    for _ in range(iterations):
         # x = clip(rint(xx + u), 0, w - 1), likewise y
         np.add(xx, u, out=x)
         np.clip(np.rint(x, out=x), 0, w - 1, out=x)
@@ -302,7 +309,8 @@ def estimate_flow(prev: list, curr: Frame, levels: list,
     # points from the current grid into the previous frame; u and v are
     # fresh arrays, updated in place, so the field returned owns them
     u = v = None
-    for cur_l, prev_l in zip(levels[::-1], prev[::-1]):
+    schedule = ITERATIONS[len(ITERATIONS) - len(levels):]
+    for cur_l, prev_l, iterations in zip(levels[::-1], prev[::-1], schedule):
         h, w = cur_l[0].shape
         if u is None:
             u = np.zeros((h, w), np.float32)
@@ -310,7 +318,7 @@ def estimate_flow(prev: list, curr: Frame, levels: list,
         else:
             up = resize_flow(FlowField(u, v), h, w)
             u, v = up.u, up.v
-        u, v = _solve_level(cur_l, prev_l, u, v, scratch)
+        u, v = _solve_level(cur_l, prev_l, u, v, scratch, iterations)
 
     return FlowField(u, v)
 

@@ -7,7 +7,8 @@ import mcma.flow
 from mcma import (FlowEstimator, FlowField, Frame, SceneObject, SceneSpec,
                   downscale_frame, generate, motion_in_input_pixels,
                   resize_flow, to_grayscale)
-from mcma.flow import (POLY_N, POLY_SIGMA, PYRAMID_LEVELS, _pyramid, _scratch,
+from mcma.flow import (ITERATIONS, POLY_N, POLY_SIGMA, PYRAMID_LEVELS,
+                       _pyramid, _scratch, _solve_level, expand,
                        polynomial_expansion)
 
 from conftest import pair_flow, shifted_pair, smooth_texture
@@ -115,6 +116,53 @@ class TestEstimateFlow:
         b = Frame(np.zeros((8, 10, 1), np.uint8))
         with pytest.raises(ValueError):
             pair_flow(a, b)
+
+
+class TestSolveSchedule:
+    def test_one_positive_count_per_level(self):
+        assert len(ITERATIONS) == PYRAMID_LEVELS
+        assert all(type(n) is int and n > 0 for n in ITERATIONS)
+
+    def test_shallow_pyramid_takes_the_finest_counts(self):
+        # a 9x9 frame has a 2-level pyramid (9x9, 4x4): its levels are
+        # solved with the schedule's last two counts, coarse to fine
+        rng = np.random.default_rng(0)
+        data = rng.integers(0, 256, (9, 9, 1), dtype=np.uint8)
+        prev = Frame(data)
+        curr = Frame(np.roll(data, (1, 2), axis=(0, 1)), index=1)
+        assert [lvl.shape for lvl in _pyramid(np.zeros((9, 9)))] == [
+            (9, 9), (4, 4)]
+
+        def chain(coarse, fine):
+            scratch = _scratch((9, 9))
+            p, c = expand(prev, scratch), expand(curr, scratch)
+            zero = np.zeros((4, 4), np.float32)
+            u, v = _solve_level(c[1], p[1], zero, zero.copy(), scratch,
+                                coarse)
+            up = resize_flow(FlowField(u, v), 9, 9)
+            return _solve_level(c[0], p[0], up.u, up.v, scratch, fine)
+
+        got = pair_flow(prev, curr)
+        u, v = chain(*ITERATIONS[-2:])
+        assert got.u.tobytes() == u.tobytes()
+        assert got.v.tobytes() == v.tobytes()
+        # the schedule's coarse end gives another flow on this pair
+        u, v = chain(*ITERATIONS[:2])
+        assert (got.u.tobytes(), got.v.tobytes()) != (u.tobytes(),
+                                                      v.tobytes())
+
+    def test_zero_iterations_return_the_input(self):
+        prev, curr = shifted_pair(32, 40, 3, 2, 1)
+        scratch = _scratch((32, 40))
+        p, c = expand(prev, scratch), expand(curr, scratch)
+        rng = np.random.default_rng(1)
+        u = rng.normal(0, 2, (32, 40)).astype(np.float32)
+        v = rng.normal(0, 2, (32, 40)).astype(np.float32)
+        want = u.copy(), v.copy()
+        got = _solve_level(c[0], p[0], u, v, scratch, 0)
+        assert got[0] is u and got[1] is v
+        assert u.tobytes() == want[0].tobytes()
+        assert v.tobytes() == want[1].tobytes()
 
 
 def panning_clip(width, height, frames=6):
