@@ -15,8 +15,11 @@ from typing import Iterable, List, Mapping, Optional, Sequence
 import numpy as np
 
 from .core import FlowField, SegmentationMask
+from .model import _check_class_count
 
 SUBSETS = ("all", "low20", "mid60", "high20")
+# the fewest samples the motion-quantile split takes
+MIN_SAMPLES = 5
 
 
 def _labels(mask) -> np.ndarray:
@@ -91,8 +94,9 @@ def motion_quantile_partition(
     (linear interpolation between order statistics), the bounds the
     ``low20`` and ``high20`` subsets are named after."""
     motion = np.asarray(per_frame_motion, np.float64)
-    if motion.size < 5:
-        raise ValueError("need at least 5 samples")
+    if motion.size < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples, "
+                         f"got {motion.size}")
     q_lo, q_hi = np.quantile(motion, [0.2, 0.8], method="linear")
     if np.all(motion == motion[0]):
         warnings.warn("degenerate motion distribution: every frame sits on "
@@ -128,6 +132,7 @@ def evaluate_run(preds_by_method: Mapping[str, Sequence],
     (method, subset, miou). With video_ids, quantiles are computed per video;
     without them, the run is one video.
     """
+    _check_class_count(num_classes, "num_classes")
     n = len(gts)
     if n == 0:
         raise ValueError("need at least one labeled frame")
@@ -150,8 +155,13 @@ def evaluate_run(preds_by_method: Mapping[str, Sequence],
         raise ValueError("need one video id per labeled frame")
     subsets = {name: [] for name in SUBSETS}
     subsets["all"] = list(range(n))
-    for vid in sorted(set(video_ids), key=str):
+    videos = sorted(set(video_ids), key=str)
+    for vid in videos:
         idx = [i for i in range(n) if video_ids[i] == vid]
+        if len(idx) < MIN_SAMPLES:
+            where = "" if len(videos) == 1 else f" in video {vid!r}"
+            raise ValueError(f"need at least {MIN_SAMPLES} labeled frames"
+                             f"{where}, got {len(idx)}")
         part = motion_quantile_partition([motions[i] for i in idx])
         subsets["low20"] += [idx[i] for i in part.low]
         subsets["mid60"] += [idx[i] for i in part.mid]

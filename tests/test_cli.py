@@ -285,6 +285,29 @@ class TestEvalAndSweep:
             rows.setdefault(method, []).append((subset, val))
         assert rows["alpha1"] == rows["baseline"]
 
+    @pytest.mark.parametrize("classes", [0, 1, 300])
+    def test_eval_class_count_exits_1(self, dataset, capsys, classes):
+        assert main(["eval", "--pred", f"gt={dataset / 'masks'}",
+                     "--gt", str(dataset / "masks"),
+                     "--flows", str(dataset / "flow"),
+                     "--classes", str(classes)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: num_classes must be in [2, 256], got {classes}\n")
+
+    def test_eval_too_few_frames_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "scene.cfg"
+        cfg.write_text(with_line("frames = 3"))
+        data = tmp_path / "data"
+        assert main(["generate", "--config", str(cfg),
+                     "--out", str(data)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--pred", f"gt={data / 'masks'}",
+                     "--gt", str(data / "masks"),
+                     "--flows", str(data / "flow"),
+                     "--classes", "2"]) == 1
+        assert capsys.readouterr().err == (
+            "error: need at least 5 labeled frames, got 3\n")
+
     def test_sweep_csv(self, dataset, tmp_path):
         csv_path = tmp_path / "sweep.csv"
         assert main(["sweep", "--frames", str(dataset / "frames"),

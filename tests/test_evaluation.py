@@ -196,6 +196,13 @@ class TestEvaluateRun:
         with pytest.raises(ValueError):
             evaluate_run({"m": preds}, gts, flows, 2)
 
+    def test_short_video_named(self):
+        preds, gts, flows = self._inputs()
+        vids = ["a"] * 7 + ["b"] * 3
+        with pytest.raises(ValueError, match="need at least 5 labeled "
+                           "frames in video 'b', got 3"):
+            evaluate_run({"m": preds}, gts, flows, 2, video_ids=vids)
+
     def test_perfect_prediction_scores_one(self):
         _, gts, flows = self._inputs()
         rows = evaluate_run({"m": gts}, gts, flows, 2)
