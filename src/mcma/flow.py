@@ -309,7 +309,7 @@ def estimate_flow(prev: list, curr: Frame, levels: list,
     # points from the current grid into the previous frame; u and v are
     # fresh arrays, updated in place, so the field returned owns them
     u = v = None
-    schedule = ITERATIONS[len(ITERATIONS) - len(levels):]
+    schedule = ITERATIONS[-len(levels):]
     for cur_l, prev_l, iterations in zip(levels[::-1], prev[::-1], schedule):
         h, w = cur_l[0].shape
         if u is None:
