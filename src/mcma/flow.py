@@ -43,7 +43,7 @@ import numpy as np
 from scipy import ndimage
 
 from .core import FLOW_SCALES, FlowField, Frame
-from .resample import align_corners, area_mean, bilinear
+from .resample import area_mean, bilinear
 
 
 PYRAMID_LEVELS = 3
@@ -87,15 +87,12 @@ def downscale_frame(frame: Frame, scale: float) -> Frame:
 
 
 def resize_flow(flow: FlowField, target_h: int, target_w: int) -> FlowField:
-    """Bilinearly resample the field (align-corners) and rescale magnitudes
-    so displacements are expressed in target-grid pixels."""
-    if target_h < 2 or target_w < 2:
-        raise ValueError("target dimensions must be >= 2")
+    """Bilinearly resample the field and rescale magnitudes so
+    displacements are expressed in target-grid pixels."""
 
     def component(comp, n_out, n_in):
         # one component at a time, so one float64 copy is alive at once
-        up = bilinear(comp.astype(np.float64), target_h, target_w,
-                      align_corners)
+        up = bilinear(comp.astype(np.float64), target_h, target_w)
         up *= n_out
         up /= n_in
         return up.astype(np.float32)
@@ -196,7 +193,7 @@ def _pyramid(img: np.ndarray):
         if (h, w) == prev.shape:
             break
         smoothed = ndimage.gaussian_filter(prev, sigma, mode="nearest")
-        pyr.append(bilinear(smoothed, h, w, align_corners))
+        pyr.append(bilinear(smoothed, h, w))
     return pyr
 
 

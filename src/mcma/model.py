@@ -99,8 +99,8 @@ def decode(features: FeatureMap, spec: ModelSpec) -> SegmentationMask:
     """D(f): half-pixel bilinear upsample of per-class scores to full
     resolution, then argmax. Ties resolve to the lowest class index.
 
-    The labels equal ``argmax(bilinear(f, h * s, w * s, half_pixel))`` bit
-    for bit, but the (classes, h * s, w * s) score stack is never built.
+    The labels equal ``argmax(bilinear(f, h * s, w * s))`` bit for bit,
+    but the (classes, h * s, w * s) score stack is never built.
     A running max over channels gives each feature cell its top class k
     and its gap g, the top score minus the runner-up. Every pixel of cell
     (i, j)'s s x s output block interpolates cells of the clamped 3 x 3

@@ -1,21 +1,18 @@
 """All resampling: area downscale, bilinear resize and the warp sampler.
 
-A coordinate map ``coords(n_out, n_in)`` places each output sample on the
-source grid: ``align_corners`` pins both grids' end samples together (flow
-pyramid, flow resize), ``half_pixel`` aligns pixel centres (decoder).
-There is one lerp order, rows (y) then columns, so ``gather`` at a grid's
-positions equals ``bilinear`` byte for byte: the decoder samples its
-boundary pixels with ``gather`` (see ``model.decode``), as the warp does.
+There is one coordinate map, ``half_pixel``, for every resize (flow
+pyramid, flow resize, decoder): samples sit at pixel centres, and a resize
+lines up the centres of the two grids. These are the centres that
+``area_mean`` pools to, so the mean of a k x k block sits where a resize
+by k puts that block's sample. There is one lerp order, rows (y) then
+columns, so ``gather`` at ``half_pixel`` positions equals ``bilinear``
+byte for byte: the decoder samples its boundary pixels with ``gather``
+(see ``model.decode``), as the warp does.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def align_corners(n_out: int, n_in: int) -> np.ndarray:
-    """Needs n_out >= 2: the first and last outputs sit on the input's."""
-    return np.arange(n_out) * ((n_in - 1) / (n_out - 1))
 
 
 def half_pixel(n_out: int, n_in: int) -> np.ndarray:
@@ -55,13 +52,14 @@ def area_mean(data: np.ndarray, k: int) -> np.ndarray:
     return total / (k * k)
 
 
-def bilinear(data: np.ndarray, out_h: int, out_w: int, coords) -> np.ndarray:
-    """Separable bilinear resize of the last two axes; rows, then columns."""
+def bilinear(data: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Separable bilinear resize of the last two axes at ``half_pixel``
+    positions; rows, then columns."""
     in_h, in_w = data.shape[-2:]
     if (in_h, in_w) == (out_h, out_w):
         return data
-    fy, y0, y1 = _taps(coords(out_h, in_h), in_h, data.dtype)
-    fx, x0, x1 = _taps(coords(out_w, in_w), in_w, data.dtype)
+    fy, y0, y1 = _taps(half_pixel(out_h, in_h), in_h, data.dtype)
+    fx, x0, x1 = _taps(half_pixel(out_w, in_w), in_w, data.dtype)
     # each lerp a + f * (b - a) runs in place on the b it allocates
     top = data.take(y0, axis=-2)
     rows = data.take(y1, axis=-2)

@@ -13,7 +13,7 @@ import pytest
 from mcma import (FeatureMap, ModelSpec, SceneObject, SceneSpec, decode, encode,
                   generate, read_features, write_features)
 from mcma.model import feature_file_path
-from mcma.resample import bilinear, half_pixel
+from mcma.resample import bilinear
 from mcma.synth import prototypes_from_scene
 
 CLASSES = [2, 3, 4, 17, 256]
@@ -24,7 +24,7 @@ HEIGHT, WIDTH = 48, 96
 
 def oracle(data, stride):
     h, w = data.shape[1:]
-    scores = bilinear(data, h * stride, w * stride, half_pixel)
+    scores = bilinear(data, h * stride, w * stride)
     return np.argmax(scores, axis=0).astype(np.uint8)
 
 

@@ -195,6 +195,20 @@ class TestPyramid:
             want.append(nxt)
         assert [lvl.shape for lvl in _pyramid(np.zeros(shape))] == want
 
+    def test_levels_sample_pixel_centres(self):
+        # oracle: smoothing keeps a linear ramp, so level l's pixel i is
+        # the ramp at the centre of the 2^l x 2^l block it stands for,
+        # (i + 0.5) * 2^l - 0.5, away from the border's 3 px
+        def ramp(y, x):
+            return 0.9 * x - 0.6 * y + 100.0
+
+        m = 3
+        for level, img in enumerate(_pyramid(ramp(*np.mgrid[0:64, 0:96]))):
+            iy, ix = np.mgrid[0:img.shape[0], 0:img.shape[1]]
+            want = ramp((iy + 0.5) * 2 ** level - 0.5,
+                        (ix + 0.5) * 2 ** level - 0.5)
+            assert np.abs(img - want)[m:-m, m:-m].max() <= 1e-9
+
 
 class TestFlowEstimator:
     @pytest.mark.parametrize("size", [(130, 98), (33, 17)])
@@ -330,9 +344,51 @@ class TestResizeFlow:
         back = resize_flow(resize_flow(flow, 256, 320), 128, 160)
         assert np.array_equal(back.u, flow.u) and np.array_equal(back.v, flow.v)
 
-    def test_rejects_degenerate_target(self):
-        with pytest.raises(ValueError):
-            resize_flow(FlowField.zeros(4, 4), 1, 4)
+    def test_one_cell_target_holds_the_centre_sample(self, rng):
+        # a grid one cell high samples the field's centre row, 2 of 0..4,
+        # and one cell wide its centre column, 3 of 0..6; the component
+        # along the squeezed axis is rescaled to the one-cell grid
+        flow = FlowField(rng.normal(0, 3, (5, 7)).astype(np.float32),
+                         rng.normal(0, 3, (5, 7)).astype(np.float32))
+        row = resize_flow(flow, 1, 7)
+        assert np.array_equal(row.u, flow.u[2:3])
+        assert np.allclose(row.v, flow.v[2:3] / 5, rtol=1e-6, atol=0)
+        col = resize_flow(flow, 5, 1)
+        assert np.allclose(col.u, flow.u[:, 3:4] / 7, rtol=1e-6, atol=0)
+        assert np.array_equal(col.v, flow.v[:, 3:4])
+
+    @staticmethod
+    def linear_field():
+        y, x = np.mgrid[0:64, 0:96].astype(np.float64)
+        return FlowField((0.05 * x - 1.0).astype(np.float32),
+                         (-0.03 * y + 0.02 * x).astype(np.float32))
+
+    @staticmethod
+    def block_means(comp, k):
+        h, w = comp.shape
+        return comp.astype(np.float64).reshape(
+            h // k, k, w // k, k).mean(axis=(1, 3))
+
+    @pytest.mark.parametrize("k", [2, 4, 8])
+    def test_shrinks_to_block_means(self, k):
+        # oracle: on a linear field, a k x k block's mean is the field at
+        # the block's centre, where a pixel-centre resize samples it
+        flow = self.linear_field()
+        small = resize_flow(flow, 64 // k, 96 // k)
+        for got, comp in ((small.u, flow.u), (small.v, flow.v)):
+            assert np.abs(got - self.block_means(comp, k) / k).max() <= 1e-5
+
+    @pytest.mark.parametrize("k", [2, 4, 8])
+    def test_grows_block_means_to_the_field(self, k):
+        # the block means, in coarse-grid pixels, grown back to the full
+        # grid; the outer k px are clamped to the border blocks
+        flow = self.linear_field()
+        means = FlowField(
+            (self.block_means(flow.u, k) / k).astype(np.float32),
+            (self.block_means(flow.v, k) / k).astype(np.float32))
+        big = resize_flow(means, 64, 96)
+        for got, comp in ((big.u, flow.u), (big.v, flow.v)):
+            assert np.abs(got - comp)[k:-k, k:-k].max() <= 1e-5
 
 
 def mean_flow_magnitude(flow):

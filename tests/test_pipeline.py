@@ -149,6 +149,22 @@ class TestRunParallel:
             masks[config.executor] = [m.labels.tobytes() for m in got]
         assert masks["parallel"] == masks["sequential"]
 
+    def test_mcma_on_a_one_cell_high_feature_grid(self, rng):
+        # 8x16 frames at stride 8 give 1x2 features: the flow is resized
+        # to a grid one cell high
+        base = rng.integers(0, 256, (8, 32, 3)).astype(np.uint8)
+        frames = [Frame(np.ascontiguousarray(base[:, 2 * i:2 * i + 16]),
+                        index=i) for i in range(5)]
+        spec = ModelSpec(prototypes=[(90, 90, 90), (200, 60, 60)],
+                         feature_stride=8)
+        cfg = PipelineConfig(alpha=0.3, lam=1.0, mode="mcma")
+        masks = {}
+        for config in (cfg, parallel_cfg(cfg)):
+            got, _ = run(frames, config, spec)
+            assert [m.labels.shape for m in got] == [(8, 16)] * 5
+            masks[config.executor] = [m.labels.tobytes() for m in got]
+        assert masks["parallel"] == masks["sequential"]
+
     def test_masks_in_input_order(self):
         spec = moving_scene(frames=10)
         seq = generate(spec)

@@ -13,7 +13,8 @@ classes, 6 frames):
       the masks of one ``run``, for modes baseline/ema/mcma, both
       executors, flow scales 1, 1/2, 1/4, strides 2, 4, 8 and three
       (alpha, lambda) pairs; entries that differ only in the executor
-      must be equal
+      must be equal, and the script exits 1 after printing, naming each
+      pair that is not
   sweep/f<flow scale>/s<stride>/c<classes>   ``alpha_sweep`` rows
   flow/f<flow scale>/c<classes>              ``FlowEstimator`` flows
   resize/f<flow scale>/s<stride>/c<classes>  those flows on the feature grid
@@ -31,6 +32,7 @@ import argparse
 import hashlib
 import json
 import os
+import sys
 
 import numpy as np
 
@@ -124,7 +126,12 @@ def main(argv=None) -> int:
                                 f"a{alpha}_l{lam}"] = digest(
                                     *(m.labels for m in masks))
     print(json.dumps(out, indent=1, sort_keys=True))
-    return 0
+    twins = {key: key.replace("/sequential/", "/parallel/")
+             for key in out if "/sequential/" in key}
+    split = [(a, b) for a, b in twins.items() if out[a] != out[b]]
+    for a, b in split:
+        print(f"executors differ: {a} {b}", file=sys.stderr)
+    return 1 if split else 0
 
 
 if __name__ == "__main__":
