@@ -15,20 +15,29 @@ iterations would mostly re-round what the coarser levels already found.
 pushed frame is converted to gray, pyramided and polynomial-expanded once,
 and its per-level expansions are kept for the next pair, so a clip costs
 one expansion per frame and level. The flow of a single pair is two pushes
-to a fresh estimator. The expansions are stored, and the displacement
-solve runs over whole arrays, in float32.
+to a fresh estimator.
 
-Scratch: the expansion's and the solve's temporaries live in one float64
-block of ``SCRATCH_PLANES`` planes of the finest level (7.2 MB at
-320x256); a coarser level carves its arrays from the front of the same
-block. ``FlowEstimator`` makes its block on the first push and again only
-when the frame size changes, so the flow path allocates no large
-temporaries in steady state and its speed does not depend on whether the
-allocator gave the last frame's memory back to the system. The expansion
-and the solve never run at the same time, so they share it. The block
-holds temporaries only: the kept expansions and the returned fields are
-fresh arrays, and nothing read from the block outlives the call that
-wrote it, so callers may keep every result while the block is reused.
+Everything after the grayscale runs in float32, over whole arrays: the
+pyramid's smoothing, the expansion, the solve and ``resize_flow``. The
+pyramid and the expansion correlate by slices of edge-padded buffers
+(``_correlate``), and the expansion folds the inverse of its metric into
+its 1-D kernels, so each of its five coefficients is one row pass and one
+column pass.
+
+Scratch: the temporaries of the pyramid, the expansion and the solve live
+in one block of ``SCRATCH_PLANES`` float64 planes of the finest level
+(7.2 MB at 320x256); a coarser level carves its arrays from the front of
+the same block. The solve's 19 planes take 81 of its 88 bytes per pixel;
+the pyramid's padded copies and the expansion's padded copy and 3 row
+passes, all float32, take about 16 and 20. ``FlowEstimator`` makes its
+block on the first push and again only when the frame size changes, so the
+flow path allocates no large temporaries in steady state and its speed
+does not depend on whether the allocator gave the last frame's memory back
+to the system. The three never run at the same time, so they share it. The
+block holds temporaries only: the pyramid's levels, the kept expansions
+and the returned fields are fresh arrays, and nothing read from the block
+outlives the call that wrote it, so callers may keep every result while
+the block is reused.
 
 Convention: the returned field is backward flow on the *current* frame's
 grid. A pixel p of the current frame originates from p + (u(p), v(p)) in the
@@ -54,9 +63,8 @@ WINDOW = 15
 ITERATIONS = (3, 2, 1)
 POLY_N = 5
 POLY_SIGMA = 1.1
-# float64 planes of the finest level in a scratch block: the expansion's 6
-# projections plus its 3 row passes, which its 5 coefficients then overlay;
-# the solve's temporaries take 81 of the 88 bytes per pixel
+# float64 planes of the finest level in a scratch block, sized by the
+# solve's temporaries: 81 of the 88 bytes per pixel
 SCRATCH_PLANES = 11
 
 
@@ -89,44 +97,21 @@ def downscale_frame(frame: Frame, scale: float) -> Frame:
 def resize_flow(flow: FlowField, target_h: int, target_w: int) -> FlowField:
     """Bilinearly resample the field and rescale magnitudes so
     displacements are expressed in target-grid pixels."""
+    if (target_h, target_w) == (flow.height, flow.width):
+        return FlowField(flow.u.copy(), flow.v.copy())
 
     def component(comp, n_out, n_in):
-        # one component at a time, so one float64 copy is alive at once
-        up = bilinear(comp.astype(np.float64), target_h, target_w)
-        up *= n_out
-        up /= n_in
-        return up.astype(np.float32)
+        # float32 throughout; a ratio of 1 leaves the samples exact
+        up = bilinear(comp, target_h, target_w)
+        up *= n_out / n_in
+        return up
 
     return FlowField(component(flow.u, target_w, flow.width),
                      component(flow.v, target_h, flow.height))
 
 
 # ---------------------------------------------------------------------------
-# Polynomial expansion
-
-def _expansion_basis():
-    """Separable correlation kernels of the basis [1, x, y, x^2, y^2, xy]
-    and the inverse of the metric G = sum_w a(w) b(w) b(w)^T over the
-    Gaussian window, which is the same for every pixel.
-
-    The kernels are three 1-D ones (1, t, t^2 under the Gaussian) and, per
-    basis function, the indices of its x and y kernels among them."""
-    n2 = POLY_N // 2
-    off = np.arange(-n2, n2 + 1, dtype=np.float64)
-    ax = np.exp(-off ** 2 / (2.0 * POLY_SIGMA ** 2))
-    kernels = (ax, off * ax, off ** 2 * ax)
-    pairs = ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1))
-
-    wy, wx = np.meshgrid(off, off, indexing="ij")
-    weight = np.exp(-(wx ** 2 + wy ** 2) / (2.0 * POLY_SIGMA ** 2))
-    basis = np.stack([np.ones_like(wx), wx, wy, wx ** 2, wy ** 2, wx * wy])
-    flat = basis.reshape(6, -1)
-    metric = (flat * weight.ravel()) @ flat.T
-    return kernels, pairs, np.linalg.inv(metric)
-
-
-_KERNELS, _PAIRS, _METRIC_INV = _expansion_basis()
-
+# Scratch and separable correlation
 
 def _scratch(shape, block=None) -> np.ndarray:
     """``block`` if it is sized for frames of ``shape``, else a new scratch
@@ -136,55 +121,162 @@ def _scratch(shape, block=None) -> np.ndarray:
     return block if fits else np.empty(size)
 
 
-def _carve(scratch: np.ndarray, shape, *dtypes):
-    """Consecutive arrays of ``shape`` and ``dtypes`` from the block's
-    front."""
+def _carve(scratch: np.ndarray, *specs):
+    """Consecutive arrays from the block's front, one per (shape, dtype)
+    pair."""
     raw = scratch.view(np.uint8)
-    n = math.prod(shape)
     arrays, offset = [], 0
-    for dtype in dtypes:
-        size = n * np.dtype(dtype).itemsize
+    for shape, dtype in specs:
+        size = math.prod(shape) * np.dtype(dtype).itemsize
         arrays.append(raw[offset:offset + size].view(dtype).reshape(shape))
         offset += size
     return arrays
 
 
+def _along(axis: int, start: int, stop: int):
+    """The index of ``start:stop`` on ``axis`` of a 2-D array."""
+    return (slice(None),) * axis + (slice(start, stop),)
+
+
+def _replicate_edges(buf: np.ndarray, r: int, axis: int):
+    """Fill the ``r`` cells at both ends of ``axis`` with the outermost
+    inner cells, as ndimage's ``nearest`` mode reads them."""
+    buf[_along(axis, 0, r)] = buf[_along(axis, r, r + 1)]
+    n = buf.shape[axis]
+    buf[_along(axis, n - r, n)] = buf[_along(axis, n - r - 1, n - r)]
+
+
+def _correlate(src: np.ndarray, kernel: np.ndarray, axis: int,
+               out: np.ndarray, tmp: np.ndarray):
+    """``out`` = ``ndimage.correlate1d(inner, kernel, axis)`` in float32,
+    where ``src`` is the inner array with ``len(kernel) // 2`` replicated
+    cells beyond each end of ``axis`` (``_replicate_edges``). The float32
+    ``kernel`` is symmetric or antisymmetric, so each pair of taps at one
+    distance costs an add or a subtract and one multiply, on whole-array
+    slices. ``tmp`` is a buffer of ``out``'s shape."""
+    r = len(kernel) // 2
+    n = out.shape[axis]
+
+    def tap(j):
+        return src[_along(axis, j, j + n)]
+
+    pair = np.add if kernel[0] == kernel[-1] else np.subtract
+    started = bool(kernel[r])
+    if started:
+        np.multiply(tap(r), kernel[r], out=out)
+    for d in range(1, r + 1):
+        dst = tmp if started else out
+        pair(tap(r + d), tap(r - d), out=dst)
+        dst *= kernel[r + d]
+        if started:
+            out += tmp
+        started = True
+
+
+# ---------------------------------------------------------------------------
+# Polynomial expansion
+
+def _inverse_metric() -> np.ndarray:
+    """The inverse of the metric G = sum_w a(w) b(w) b(w)^T of the basis
+    b = [1, x, y, x^2, y^2, xy] under the Gaussian window a, which is the
+    same for every pixel. Its rows give the basis coefficients (c, b1, b2,
+    a11, a22, 2 a12) from the window's projections onto the basis."""
+    n2 = POLY_N // 2
+    off = np.arange(-n2, n2 + 1, dtype=np.float64)
+    wy, wx = np.meshgrid(off, off, indexing="ij")
+    weight = np.exp(-(wx ** 2 + wy ** 2) / (2.0 * POLY_SIGMA ** 2))
+    basis = np.stack([np.ones_like(wx), wx, wy, wx ** 2, wy ** 2, wx * wy])
+    flat = basis.reshape(6, -1)
+    return np.linalg.inv((flat * weight.ravel()) @ flat.T)
+
+
+def _expansion_kernels():
+    """Float32 1-D kernels with G^-1 folded in: the distinct row (x) kernels
+    and, per coefficient a11, a12, a22, b1, b2, the index of its row kernel
+    and its column (y) kernel.
+
+    With K0, K1, K2 the Gaussian-weighted 1, t and t^2 and g = G^-1, a
+    coefficient is its row of g times the six projections C[Ky] R[Kx].
+    Over a symmetric window g has no other entries in the rows used here
+    than g30, g33, g40, g44, g11, g22 and g55 (the rest are 0 up to
+    rounding), so each coefficient is one product of a row and a column
+    pass, e.g. a11 = C[K0] R[g30 K0 + g33 K2]."""
+    n2 = POLY_N // 2
+    off = np.arange(-n2, n2 + 1, dtype=np.float64)
+    k0 = np.exp(-off ** 2 / (2.0 * POLY_SIGMA ** 2))
+    k1, k2 = off * k0, off ** 2 * k0
+    g = _inverse_metric()
+    rows = (g[3, 0] * k0 + g[3, 3] * k2, k0, k1)
+    columns = ((0, k0),                            # a11
+               (2, g[5, 5] / 2.0 * k1),            # a12
+               (1, g[4, 0] * k0 + g[4, 4] * k2),   # a22
+               (2, g[1, 1] * k0),                  # b1
+               (1, g[2, 2] * k1))                  # b2
+    return (tuple(k.astype(np.float32) for k in rows),
+            tuple((i, k.astype(np.float32)) for i, k in columns))
+
+
+_ROW_KERNELS, _COLUMN_KERNELS = _expansion_kernels()
+
+
 def polynomial_expansion(img: np.ndarray, scratch: np.ndarray):
-    """Per-pixel weighted least-squares quadratic fit of a 2-D float64 array.
+    """Per-pixel weighted least-squares quadratic fit of a 2-D array.
 
     Returns (a11, a12, a22, b1, b2) arrays: f(p + (x, y)) is approximated
     by a11 x^2 + 2 a12 xy + a22 y^2 + b1 x + b2 y + c with Gaussian weights of
-    std POLY_SIGMA over a POLY_N x POLY_N neighbourhood. The solve never
-    reads the constant term c, so it is not computed. The arrays are views
-    into ``scratch``, a ``_scratch`` block for ``img``'s shape or a finer
-    one, valid until its next use.
+    std POLY_SIGMA over a POLY_N x POLY_N neighbourhood, and edges
+    replicated. The solve never reads the constant term c, so it is not
+    computed. Each coefficient is one row pass and one column pass of the
+    kernels that fold G^-1 in (``_expansion_kernels``), in float32; a
+    float64 ``img`` is rounded to float32 as it is copied in. The five
+    arrays are fresh float32 ones; the padded copies and the 3 row passes
+    are carved from ``scratch``, a ``_scratch`` block for ``img``'s shape
+    or a finer one.
     """
     h, w = img.shape
-    n = h * w
-    proj = scratch[:6 * n].reshape(6, h, w)
-    rows = scratch[6 * n:9 * n].reshape(3, h, w)
-    for kernel, row in zip(_KERNELS, rows):
-        ndimage.correlate1d(img, kernel, axis=1, mode="nearest", output=row)
-    for k, (kx, ky) in enumerate(_PAIRS):
-        ndimage.correlate1d(rows[kx], _KERNELS[ky], axis=0, mode="nearest",
-                            output=proj[k])
-
-    # the row passes are dead: the coefficients overlay them
-    coeffs = scratch[6 * n:11 * n].reshape(5, n)
-    np.dot(_METRIC_INV[1:], proj.reshape(6, n), out=coeffs)
-    b1, b2, a11, a22, axy = coeffs.reshape(5, h, w)
-    axy /= 2.0
-    return a11, axy, a22, b1, b2
+    r = POLY_N // 2
+    # the image padded along x; each row pass is padded along y
+    pad_x, tmp, *rows = _carve(
+        scratch, ((h, w + 2 * r), np.float32), ((h, w), np.float32),
+        *[((h + 2 * r, w), np.float32)] * len(_ROW_KERNELS))
+    pad_x[:, r:r + w] = img
+    _replicate_edges(pad_x, r, axis=1)
+    for kernel, row in zip(_ROW_KERNELS, rows):
+        _correlate(pad_x, kernel, 1, row[r:r + h], tmp)
+        _replicate_edges(row, r, axis=0)
+    coeffs = []
+    for i, kernel in _COLUMN_KERNELS:
+        coeff = np.empty((h, w), np.float32)
+        _correlate(rows[i], kernel, 0, coeff, tmp)
+        coeffs.append(coeff)
+    return tuple(coeffs)
 
 
 # ---------------------------------------------------------------------------
 # Displacement estimation
 
-def _pyramid(img: np.ndarray):
+def _gaussian(sigma: float) -> np.ndarray:
+    """The float32 1-D Gaussian of ``ndimage.gaussian_filter``: radius
+    4 sigma, normalised in float64."""
+    radius = int(4.0 * sigma + 0.5)
+    x = np.arange(-radius, radius + 1, dtype=np.float64)
+    phi = np.exp(-0.5 / sigma ** 2 * x ** 2)
+    return (phi / phi.sum()).astype(np.float32)
+
+
+_SMOOTH = _gaussian(0.5 / PYRAMID_SCALE)
+
+
+def _pyramid(img: np.ndarray, scratch: np.ndarray | None = None):
     """Fine-to-coarse list of smoothed, shrunken copies. A level is at least
     4 pixels on a side unless the finer one is smaller, never larger than
-    the finer one, and the pyramid stops at a level that does not shrink."""
-    sigma = 0.5 / PYRAMID_SCALE
+    the finer one, and the pyramid stops at a level that does not shrink.
+    A level is the finer one smoothed with ``_SMOOTH`` along y, then x,
+    with edges replicated, in float32, then shrunk by ``bilinear``; the
+    smoothing's temporaries are carved from ``scratch`` (a new block if it
+    does not fit ``img``), and the levels are fresh arrays."""
+    scratch = _scratch(img.shape, scratch)
+    r = len(_SMOOTH) // 2
     pyr = [img]
     for _ in range(1, PYRAMID_LEVELS):
         prev = pyr[-1]
@@ -192,7 +284,17 @@ def _pyramid(img: np.ndarray):
                 for n in prev.shape)
         if (h, w) == prev.shape:
             break
-        smoothed = ndimage.gaussian_filter(prev, sigma, mode="nearest")
+        ph, pw = prev.shape
+        # the level padded along y; its y pass padded along x
+        pad_y, pad_x, smoothed, tmp = _carve(
+            scratch, ((ph + 2 * r, pw), np.float32),
+            ((ph, pw + 2 * r), np.float32), ((ph, pw), np.float32),
+            ((ph, pw), np.float32))
+        pad_y[r:r + ph] = prev
+        _replicate_edges(pad_y, r, axis=0)
+        _correlate(pad_y, _SMOOTH, 0, pad_x[:, r:r + pw], tmp)
+        _replicate_edges(pad_x, r, axis=1)
+        _correlate(pad_x, _SMOOTH, 1, smoothed, tmp)
         pyr.append(bilinear(smoothed, h, w))
     return pyr
 
@@ -200,12 +302,12 @@ def _pyramid(img: np.ndarray):
 def expand(frame: Frame, scratch: np.ndarray) -> list:
     """The frame's (a11, a12, a22, b1, b2) expansions at each pyramid level,
     fine to coarse: what ``FlowEstimator`` keeps of a frame for the next
-    pair. The float32 arrays are fresh; ``scratch`` holds only the
-    expansion's temporaries."""
-    img = to_grayscale(frame).data[:, :, 0].astype(np.float64)
-    return [tuple(a.astype(np.float32)
-                  for a in polynomial_expansion(level, scratch))
-            for level in _pyramid(img)]
+    pair. The gray plane becomes float32 once, and every level and
+    expansion stays in float32; the arrays returned are fresh, and
+    ``scratch`` holds only temporaries."""
+    img = to_grayscale(frame).data[:, :, 0].astype(np.float32)
+    return [polynomial_expansion(level, scratch)
+            for level in _pyramid(img, scratch)]
 
 
 def _solve_level(cur, prev, u, v, scratch: np.ndarray, iterations: int):
@@ -224,7 +326,8 @@ def _solve_level(cur, prev, u, v, scratch: np.ndarray, iterations: int):
     eps = 1e-9
     (at, xi, x, y, du, dv, a11, a12, a22, db1, db2, t, t2,
      m11, m12, m22, h1, h2, ok) = _carve(
-        scratch, u.shape, np.intp, np.intp, *[np.float32] * 16, np.bool_)
+        scratch, *((u.shape, dtype) for dtype in
+                   (np.intp, np.intp, *[np.float32] * 16, np.bool_)))
 
     def box(m, out):
         # uniform_filter's two passes, in its order, without its set-up
