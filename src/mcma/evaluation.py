@@ -33,13 +33,12 @@ def _confusion_counts(pred, gt, num_classes: int):
         raise ValueError("mask dimensions must match")
     if min(p.min(), g.min()) < 0 or max(p.max(), g.max()) >= num_classes:
         raise ValueError("label out of range")
-    inter = np.zeros(num_classes, np.int64)
-    union = np.zeros(num_classes, np.int64)
-    for cls in range(num_classes):
-        pi = p == cls
-        gi = g == cls
-        inter[cls] = np.count_nonzero(pi & gi)
-        union[cls] = np.count_nonzero(pi | gi)
+    # confusion[g, p]: pixels of ground-truth class g labelled p
+    confusion = np.bincount((g * num_classes + p).ravel(),
+                            minlength=num_classes * num_classes)
+    confusion = confusion.reshape(num_classes, num_classes)
+    inter = np.diagonal(confusion).copy()
+    union = confusion.sum(axis=0) + confusion.sum(axis=1) - inter
     return inter, union
 
 

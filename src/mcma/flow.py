@@ -267,15 +267,14 @@ def _gaussian(sigma: float) -> np.ndarray:
 _SMOOTH = _gaussian(0.5 / PYRAMID_SCALE)
 
 
-def _pyramid(img: np.ndarray, scratch: np.ndarray | None = None):
+def _pyramid(img: np.ndarray, scratch: np.ndarray):
     """Fine-to-coarse list of smoothed, shrunken copies. A level is at least
     4 pixels on a side unless the finer one is smaller, never larger than
     the finer one, and the pyramid stops at a level that does not shrink.
     A level is the finer one smoothed with ``_SMOOTH`` along y, then x,
     with edges replicated, in float32, then shrunk by ``bilinear``; the
-    smoothing's temporaries are carved from ``scratch`` (a new block if it
-    does not fit ``img``), and the levels are fresh arrays."""
-    scratch = _scratch(img.shape, scratch)
+    smoothing's temporaries are carved from ``scratch``, a block sized for
+    ``img`` (``_scratch``), and the levels are fresh arrays."""
     r = len(_SMOOTH) // 2
     pyr = [img]
     for _ in range(1, PYRAMID_LEVELS):

@@ -2,14 +2,14 @@
 
 ``Segmenter._step`` is the only place the recurrence runs: flow, encode,
 warp, fuse and decode for one frame, and ``Segmenter.stream`` is the only
-loop that runs it. A frame's flow stage is one task, ``_push_copy``. The
-sequential executor runs it inline. The parallel executor runs it one
-frame ahead on one worker thread: each frame is read and downscaled on the
-calling thread as it arrives, and its ``FlowEstimator.push`` runs on the
-worker while the caller encodes, warps, fuses and decodes the frame before
-it. Flow never reads the model's output, and everything downstream of it
-stays strictly ordered on the calling thread, so both schedules give
-bit-identical masks.
+loop that runs it. A frame's whole flow stage, its flow-grid downscale and
+its ``FlowEstimator.push``, is one task, ``_push_copy``. The sequential
+executor runs it inline. The parallel executor runs it one frame ahead on
+one worker thread: each frame is read on the calling thread as it arrives,
+and downscaled and pushed on the worker while the caller encodes, warps,
+fuses and decodes the frame before it. Flow never reads the model's
+output, and everything downstream of it stays strictly ordered on the
+calling thread, so both schedules give bit-identical masks.
 """
 
 from __future__ import annotations
@@ -70,14 +70,16 @@ def _timed(fn, *args):
     return out, _now_us() - t0
 
 
-def _push_copy(base, small: Frame, downscale_us: float):
-    """One frame's flow stage, inline or on the worker: push ``small`` to a
-    shallow copy of ``base``, an estimator or the future of the previous
-    frame's push, which the one worker has already run. Returns (estimator,
-    flow, flow_us), where flow_us adds the push to the downscale."""
+def _push_copy(base, frame: Frame, scale: float):
+    """One frame's whole flow stage, inline or on the worker: downscale
+    ``frame`` by ``scale`` and push it to a shallow copy of ``base``, an
+    estimator or the future of the previous frame's task, which the one
+    worker has already run. Returns (estimator, flow, flow_us), where
+    flow_us times the downscale and the push."""
     if isinstance(base, Future):
         base = base.result()[0]
     estimator = copy.copy(base)
+    small, downscale_us = _timed(downscale_frame, frame, scale)
     flow, push_us = _timed(estimator.push, small)
     return estimator, flow, downscale_us + push_us
 
@@ -131,38 +133,42 @@ class Segmenter:
         """Segment ``frames`` in order, reading each only when it is due;
         yields (mask, StageTiming) per frame.
 
-        On the parallel executor, frame t+1 is read and downscaled, and its
-        flow handed to a worker thread, before frame t is encoded, so the
-        flow runs beside frame t's model work. ``total_us`` is the wall
-        time from the previous mask (or the start) to this one, so a
-        stream's totals add up to its wall time. The worker is shut down
-        when the stream ends, fails or is closed.
+        On the parallel executor, frame t+1 is read on the calling thread,
+        and its whole flow stage, the downscale and the push, is handed to a
+        worker thread before frame t is encoded, so the flow runs beside
+        frame t's model work. ``total_us`` is the wall time from the
+        previous mask (or the start) to this one, so a stream's totals add
+        up to its wall time. The worker is shut down when the stream ends,
+        fails or is closed.
         """
         if self.cfg.executor == "parallel" and self._mode == "mcma":
             yield from self._stream_ahead(iter(frames))
             return
+        scale = self.cfg.flow_scale
         mark = _now_us()
         for frame in frames:
             mask, timing = self._step(
                 frame, mark,
-                lambda f=frame: _push_copy(self._flow, *self._downscale(f)))
+                lambda f=frame: _push_copy(self._flow, f, scale))
             mark += timing.total_us
             yield mask, timing
 
     def _stream_ahead(self, frames):
         pool = ThreadPoolExecutor(max_workers=1)
+        scale = self.cfg.flow_scale
         try:
             mark = _now_us()
             frame = next(frames, None)
             pending = (None if frame is None
-                       else self._submit(pool, frame, self._flow))
+                       else pool.submit(_push_copy, self._flow, frame, scale))
             while frame is not None:
                 try:
                     ahead, unread = next(frames, None), None
                 except Exception as exc:  # frame t+1's, raised after mask t
                     ahead, unread = None, exc
                 following = (None if ahead is None
-                             else self._submit(pool, ahead, pending))
+                             else pool.submit(_push_copy, pending, ahead,
+                                              scale))
                 mask, timing = self._step(frame, mark, pending.result)
                 mark += timing.total_us
                 yield mask, timing
@@ -171,21 +177,6 @@ class Segmenter:
                 frame, pending = ahead, following
         finally:
             pool.shutdown(cancel_futures=True)
-
-    def _submit(self, pool, frame: Frame, base) -> Future:
-        """Downscale ``frame`` here and push it on the worker to a copy of
-        ``base`` (see _push_copy). A failed downscale becomes the future's
-        exception, raised at its frame."""
-        try:
-            small, downscale_us = self._downscale(frame)
-        except Exception as exc:
-            failed = Future()
-            failed.set_exception(exc)
-            return failed
-        return pool.submit(_push_copy, base, small, downscale_us)
-
-    def _downscale(self, frame: Frame):
-        return _timed(downscale_frame, frame, self.cfg.flow_scale)
 
     def _warp(self, state: FeatureMap, flow: FlowField) -> FeatureMap:
         flow = resize_flow(flow, state.height, state.width)

@@ -150,8 +150,8 @@ class TestSolveSchedule:
         data = rng.integers(0, 256, (9, 9, 1), dtype=np.uint8)
         prev = Frame(data)
         curr = Frame(np.roll(data, (1, 2), axis=(0, 1)), index=1)
-        assert [lvl.shape for lvl in _pyramid(np.zeros((9, 9)))] == [
-            (9, 9), (4, 4)]
+        levels = _pyramid(np.zeros((9, 9)), _scratch((9, 9)))
+        assert [lvl.shape for lvl in levels] == [(9, 9), (4, 4)]
 
         def chain(coarse, fine):
             scratch = _scratch((9, 9))
@@ -198,7 +198,8 @@ def panning_clip(width, height, frames=6):
 class TestPyramid:
     @pytest.mark.parametrize("shape", [(2, 2), (2, 100), (5, 40), (6, 6)])
     def test_levels_never_grow(self, shape):
-        levels = [lvl.shape for lvl in _pyramid(np.zeros(shape))]
+        levels = [lvl.shape
+                  for lvl in _pyramid(np.zeros(shape), _scratch(shape))]
         for finer, coarser in zip(levels, levels[1:]):
             assert coarser[0] <= finer[0] and coarser[1] <= finer[1]
             assert coarser != finer
@@ -213,7 +214,8 @@ class TestPyramid:
             if nxt == want[-1]:
                 break
             want.append(nxt)
-        assert [lvl.shape for lvl in _pyramid(np.zeros(shape))] == want
+        assert [lvl.shape for lvl in _pyramid(np.zeros(shape),
+                                              _scratch(shape))] == want
 
     def test_levels_sample_pixel_centres(self):
         # oracle: smoothing keeps a linear ramp, so level l's pixel i is
@@ -225,7 +227,7 @@ class TestPyramid:
         m = 3
         full = ramp(*np.mgrid[0:64, 0:96])
         tol = 8 * EPS32 * np.abs(full).max()
-        for level, img in enumerate(_pyramid(full)):
+        for level, img in enumerate(_pyramid(full, _scratch(full.shape))):
             iy, ix = np.mgrid[0:img.shape[0], 0:img.shape[1]]
             want = ramp((iy + 0.5) * 2 ** level - 0.5,
                         (ix + 0.5) * 2 ** level - 0.5)
@@ -236,7 +238,7 @@ class TestPyramid:
         # oracle: scipy's float64 Gaussian (sigma 1, nearest edges), shrunk
         # by the same half-pixel bilinear; checked at every pixel
         img = np.random.default_rng(5).normal(100, 25, shape)
-        level = _pyramid(img)[1]
+        level = _pyramid(img, _scratch(shape))[1]
         smoothed = ndimage.gaussian_filter(img, 1.0, mode="nearest")
         want = bilinear(smoothed, *level.shape)
         assert level.dtype == np.float32

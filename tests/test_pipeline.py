@@ -55,11 +55,14 @@ def breakable(monkeypatch, module, name, fail_from):
     monkeypatch.setattr(module, name, call)
 
 
-# the call on which each stage breaks to fail the second frame of a stream:
-# the first frame's flow push expands only and never calls estimate_flow
-FAIL_SECOND_FRAME = {"flow": (mcma.flow, "estimate_flow", 1),
-                     "encode": (mcma.pipeline, "encode", 2),
-                     "decode": (mcma.pipeline, "decode", 2)}
+# the call on which each function breaks to fail the second frame of a
+# stream, and the stage that the failure names: the first frame's flow push
+# expands only and never calls estimate_flow
+FAIL_SECOND_FRAME = {
+    "flow": (mcma.flow, "estimate_flow", 1, "flow"),
+    "downscale": (mcma.pipeline, "downscale_frame", 2, "flow"),
+    "encode": (mcma.pipeline, "encode", 2, "encode"),
+    "decode": (mcma.pipeline, "decode", 2, "decode")}
 
 
 class TestRunSequential:
@@ -164,6 +167,25 @@ class TestRunParallel:
             assert [m.labels.shape for m in got] == [(8, 16)] * 5
             masks[config.executor] = [m.labels.tobytes() for m in got]
         assert masks["parallel"] == masks["sequential"]
+
+    @pytest.mark.parametrize("executor", ["sequential", "parallel"])
+    def test_downscale_runs_in_the_flow_task(self, executor, monkeypatch):
+        # a frame's downscale and push are one task: inline on the
+        # sequential executor, on the one worker on the parallel one
+        threads = []
+
+        def downscale(frame, scale):
+            threads.append(threading.get_ident())
+            return mcma.flow.downscale_frame(frame, scale)
+        monkeypatch.setattr(mcma.pipeline, "downscale_frame", downscale)
+        cfg = PipelineConfig(alpha=0.5, flow_scale=0.5, executor=executor)
+        run(tiny_frames(), cfg, tiny_model())
+        caller = threading.get_ident()
+        assert len(threads) == 6
+        if executor == "sequential":
+            assert set(threads) == {caller}
+        else:
+            assert caller not in threads and len(set(threads)) == 1
 
     def test_masks_in_input_order(self):
         spec = moving_scene(frames=10)
@@ -305,10 +327,10 @@ class TestWorkerLifetime:
             lambda: run(tiny_frames(), cfg, tiny_model()))
         assert after == before
 
-    @pytest.mark.parametrize("stage", ["flow", "encode"])
-    def test_failed_run(self, stage, monkeypatch):
+    @pytest.mark.parametrize("failure", ["flow", "downscale", "encode"])
+    def test_failed_run(self, failure, monkeypatch):
         cfg = PipelineConfig(alpha=0.5, executor="parallel")
-        breakable(monkeypatch, *FAIL_SECOND_FRAME[stage])
+        breakable(monkeypatch, *FAIL_SECOND_FRAME[failure][:3])
 
         def failing():
             with pytest.raises(PipelineError):
@@ -432,9 +454,9 @@ class TestSegmenter:
         for a, b in zip(expected[1:], got):
             assert np.array_equal(a.labels, b.labels)
 
-    @pytest.mark.parametrize("stage", ["flow", "encode", "decode"])
+    @pytest.mark.parametrize("failure", list(FAIL_SECOND_FRAME))
     @pytest.mark.parametrize("parallel", [False, True])
-    def test_failed_push_keeps_flow_estimator(self, stage, parallel,
+    def test_failed_push_keeps_flow_estimator(self, failure, parallel,
                                               monkeypatch):
         spec = moving_scene(frames=3)
         frames = [s[0] for s in generate(spec)]
@@ -449,7 +471,7 @@ class TestSegmenter:
                 flows.append(super().push(small))
                 return flows[-1]
 
-        module, name, fail_from = FAIL_SECOND_FRAME[stage]
+        module, name, fail_from, stage = FAIL_SECOND_FRAME[failure]
         breakable(monkeypatch, module, name, fail_from)
         seg = Segmenter(cfg, mspec, flow=RecordingFlow())
         # frame 2 in the second position fails; on the parallel executor its
