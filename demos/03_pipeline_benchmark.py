@@ -2,11 +2,12 @@
 
 Runs the full pipeline (flow -> encode -> warp -> fuse -> decode) over a
 synthetic clip at two flow resolutions and with both executors, then prints
-the per-stage latency summary. The parallel executor computes each frame's
-flow on a worker thread, one frame ahead, while the calling thread encodes,
-warps, fuses and decodes the frame before it; its total per frame is the
-caller's wall time from one mask to the next, so the flow row shows work
-that the parallel total no longer waits for.
+the per-stage latency summary. The parallel executor reads each frame on
+the calling thread and downscales and pushes its flow on a worker thread,
+one frame ahead, while the calling thread encodes, warps, fuses and
+decodes the frame before it; its total per frame is the caller's wall
+time from one mask to the next, so the flow row (downscale and push) shows
+work that the parallel total no longer waits for.
 """
 
 from mcma import (PipelineConfig, SceneObject, SceneSpec, benchmark_report,

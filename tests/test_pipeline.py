@@ -474,9 +474,9 @@ class TestSegmenter:
         module, name, fail_from, stage = FAIL_SECOND_FRAME[failure]
         breakable(monkeypatch, module, name, fail_from)
         seg = Segmenter(cfg, mspec, flow=RecordingFlow())
-        # frame 2 in the second position fails; on the parallel executor its
-        # flow fails on the worker while frame 0 is decoded, and the error
-        # still names frame 1 and the flow
+        # frame 2 in the second position fails; on the parallel executor a
+        # failed downscale or flow fails on the worker while frame 0 is
+        # decoded, and the error still names frame 1 and the flow
         with pytest.raises(PipelineError) as err:
             for _ in seg.stream([frames[0], frames[2]]):
                 pass
