@@ -130,14 +130,6 @@ class SegmentationMask:
             raise ValueError("labels must be 2-D")
         object.__setattr__(self, "labels", lab)
 
-    @property
-    def height(self) -> int:
-        return self.labels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.labels.shape[1]
-
 
 FLOW_SCALES = (1.0, 0.5, 0.25)
 

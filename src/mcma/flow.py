@@ -405,21 +405,16 @@ def estimate_flow(prev: list, curr: Frame, levels: list,
     if prev[0][0].shape != (curr.height, curr.width):
         raise ValueError("frames must share dimensions")
     # solve with image1 = current and image2 = previous so the displacement
-    # points from the current grid into the previous frame; u and v are
-    # fresh arrays, updated in place, so the field returned owns them
-    u = v = None
+    # points from the current grid into the previous frame; each level
+    # solves in place on a fresh resize of the coarser level's field (of a
+    # zero field at the coarsest), so the field returned owns its arrays
+    flow = FlowField.zeros(*levels[-1][0].shape)
     schedule = ITERATIONS[-len(levels):]
     for cur_l, prev_l, iterations in zip(levels[::-1], prev[::-1], schedule):
-        h, w = cur_l[0].shape
-        if u is None:
-            u = np.zeros((h, w), np.float32)
-            v = np.zeros((h, w), np.float32)
-        else:
-            up = resize_flow(FlowField(u, v), h, w)
-            u, v = up.u, up.v
-        u, v = _solve_level(cur_l, prev_l, u, v, scratch, iterations)
-
-    return FlowField(u, v)
+        flow = resize_flow(flow, *cur_l[0].shape)
+        flow = FlowField(*_solve_level(cur_l, prev_l, flow.u, flow.v,
+                                       scratch, iterations))
+    return flow
 
 
 class FlowEstimator:

@@ -13,7 +13,10 @@ from .core import FeatureMap
 
 def ema_fuse(curr: FeatureMap, warped_prev: FeatureMap,
              alpha: float) -> FeatureMap:
-    """Elementwise convex combination alpha*curr + (1-alpha)*warped_prev."""
+    """Elementwise convex combination alpha*curr + (1-alpha)*warped_prev.
+
+    At alpha = 1 it returns ``curr`` itself, untouched: the per-frame
+    baseline runs as this average at alpha = 1 and relies on that."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must be in (0, 1]")
     if curr.data.shape != warped_prev.data.shape:

@@ -26,6 +26,7 @@ from typing import Callable, Iterable, List, Optional, Sequence
 import numpy as np
 
 from .core import FeatureMap, FlowField, Frame, PipelineConfig, SegmentationMask
+from .evaluation import pooled_miou
 from .flow import FlowEstimator, downscale_frame, resize_flow
 from .fusion import ema_fuse
 from .model import ModelSpec, decode, encode
@@ -106,10 +107,14 @@ class Segmenter:
     serves two threads. Run one stream at a time on a Segmenter. After a
     failed frame, a new ``stream`` carries on from the last good frame.
 
-    Degenerate settings are resolved once: alpha = 1 keeps no history and
-    runs as the per-frame baseline, and mcma with lambda = 0 runs as the
-    plain EMA, so neither computes flow that would be discarded; ``stream``
-    runs them on the calling thread alone, whatever the executor.
+    Each frame with a prior is fused as ``ema_fuse(feats, prior, alpha)``,
+    the prior first warped along the flow if the frame has one. The
+    per-frame baseline, ``mode="baseline"``, is this average at alpha = 1,
+    where ``ema_fuse`` returns the current features themselves; and
+    ``mode="ema"``, or mcma at lambda = 0, is the average without flow.
+    Flow is computed only where it is used, for mcma with alpha < 1 and
+    lambda > 0; every other setting runs on the calling thread alone,
+    whatever the executor.
     """
 
     def __init__(self, cfg: PipelineConfig, model_spec: ModelSpec, *,
@@ -119,12 +124,9 @@ class Segmenter:
         self._encode = encoder or (lambda frame: encode(frame, model_spec))
         self._flow = flow or FlowEstimator()
         self._decode = lambda fused: decode(fused, model_spec)
-        if cfg.alpha == 1.0:
-            self._mode = "baseline"
-        elif cfg.mode == "mcma" and cfg.lam == 0.0:
-            self._mode = "ema"
-        else:
-            self._mode = cfg.mode
+        self._alpha = 1.0 if cfg.mode == "baseline" else cfg.alpha
+        self._needs_flow = (cfg.mode == "mcma" and self._alpha < 1.0
+                            and cfg.lam > 0.0)
         self.state: Optional[FeatureMap] = None
         self._size: Optional[tuple] = None
         self._count = 0
@@ -141,7 +143,7 @@ class Segmenter:
         up to its wall time. The worker is shut down when the stream ends,
         fails or is closed.
         """
-        if self.cfg.executor == "parallel" and self._mode == "mcma":
+        if self.cfg.executor == "parallel" and self._needs_flow:
             yield from self._stream_ahead(iter(frames))
             return
         scale = self.cfg.flow_scale
@@ -192,7 +194,7 @@ class Segmenter:
             if self._size is not None and size != self._size:
                 raise ValueError("frame dimensions changed")
             estimator, flow, flow_us = self._flow, None, 0.0
-            if self._mode == "mcma":
+            if self._needs_flow:
                 stage = "flow"
                 estimator, flow, flow_us = flow_stage()
             stage = "encode"
@@ -203,15 +205,13 @@ class Segmenter:
                                  f"from the state's {prior.data.shape}")
 
             warp_us = fuse_us = 0.0
-            if prior is None or self._mode == "baseline":
-                fused = feats
-            else:
+            fused = feats
+            if prior is not None:
                 if flow is not None:
                     stage = "warp"
                     prior, warp_us = _timed(self._warp, prior, flow)
                 stage = "fuse"
-                fused, fuse_us = _timed(ema_fuse, feats, prior,
-                                        self.cfg.alpha)
+                fused, fuse_us = _timed(ema_fuse, feats, prior, self._alpha)
             stage = "decode"
             mask, decode_us = _timed(self._decode, fused)
         except Exception as exc:
@@ -270,8 +270,6 @@ def alpha_sweep(frames: Sequence[Frame], gts, cfg: PipelineConfig,
     and method. ``gts`` holds one mask per frame. Returns rows of
     (alpha, method, miou) aggregated over the whole sequence.
     """
-    from .evaluation import pooled_miou
-
     frames = list(frames)
     if not frames:
         raise ValueError("need at least one frame")

@@ -13,7 +13,8 @@ to a row term. Each object is drawn only inside its integer bounding box,
 one pixel wider on each side than rounding could reach, and each noise
 blob is stamped around its center. These are the float64 operations of a
 whole-frame render, so the output is the same to the byte;
-tests/test_synth_exact.py keeps that render as the oracle.
+tests/test_synth_exact.py keeps that render as the oracle. An untextured
+scene adds zero times the texture, which changes no value.
 """
 
 from __future__ import annotations
@@ -209,9 +210,8 @@ def generate(spec: SceneSpec):
         gox, goy = gdx * j, gdy * j
         img = np.empty((h, w, 3), np.float64)
         img[:] = np.asarray(spec.background_color, np.float64)
-        if amp > 0.0:
-            img += amp * _tile_lookup(bg_tile, xs - gox + anchor_x,
-                                      ys - goy + anchor_y)
+        img += amp * _tile_lookup(bg_tile, xs - gox + anchor_x,
+                                  ys - goy + anchor_y)
         labels = np.full((h, w), spec.background_class, np.uint8)
         flow_u = np.full((h, w), -gdx if panning else 0.0, np.float32)
         flow_v = np.full((h, w), -gdy if panning else 0.0, np.float32)
@@ -245,10 +245,7 @@ def generate(spec: SceneSpec):
                 ly = by - (oy - obj.radius) + 1
             color = np.asarray(obj.color, np.float64)
             box = img[y0:y1, x0:x1]
-            if amp > 0.0:
-                box[inside] = (color + amp * _tile_lookup(tile, lx, ly))[inside]
-            else:
-                box[inside] = color
+            box[inside] = (color + amp * _tile_lookup(tile, lx, ly))[inside]
             labels[y0:y1, x0:x1][inside] = obj.class_id
             flow_u[y0:y1, x0:x1][inside] = -(obj.velocity[0] + gdx)
             flow_v[y0:y1, x0:x1][inside] = -(obj.velocity[1] + gdy)

@@ -123,6 +123,21 @@ class TestGenerate:
         err = self.generate_fails(tmp_path, capsys, with_line(line))
         assert err.startswith(f"error: {field} ")
 
+    @pytest.mark.parametrize("line, message", [
+        ("seed 4", "bad config line 'seed 4'"),
+        ("object = shape=disk class=1 bogus color=200,60,60 center=4,4 "
+         "radius=3", "bad object token 'bogus'"),
+        ("object = shape=disk class=1 color=200,60,60 center=4,4 radius=3 "
+         "spin=2", "unknown object keys: ['spin']"),
+        ("global_velocity = 1", "expected 2 comma-separated values: '1'")])
+    def test_malformed_line_exits_1(self, tmp_path, capsys, line, message):
+        text = with_line(line)
+        with pytest.raises(ValueError) as err:
+            parse_scene_config(text)
+        assert err.type is ValueError and str(err.value) == message
+        assert self.generate_fails(tmp_path, capsys, text) == (
+            f"error: {message}\n")
+
     @pytest.mark.parametrize("num_classes", [1, 300])
     def test_class_count_exits_1(self, tmp_path, capsys, num_classes):
         err = self.generate_fails(
@@ -241,6 +256,16 @@ class TestRun:
         assert main(["run", "--frames", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "out")]) == 1
 
+    def test_no_frames_in_dir_exits_1(self, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        (empty / "notes.txt").write_text("no frames here\n")
+        assert main(["run", "--frames", str(empty),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: no *.ppm files in {empty}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_bad_arguments_exit_2(self):
         with pytest.raises(SystemExit) as err:
             main(["run", "--frames"])
@@ -293,6 +318,26 @@ class TestEvalAndSweep:
                      "--classes", str(classes)]) == 1
         assert capsys.readouterr().err == (
             f"error: num_classes must be in [2, 256], got {classes}\n")
+
+    def test_eval_pred_needs_a_name_exits_1(self, dataset, capsys):
+        assert main(["eval", "--pred", str(dataset / "masks"),
+                     "--gt", str(dataset / "masks"),
+                     "--flows", str(dataset / "flow"),
+                     "--classes", "2"]) == 1
+        assert capsys.readouterr().err == "error: --pred expects NAME=DIR\n"
+
+    def test_eval_without_out_prints_the_csv(self, dataset, tmp_path,
+                                             capsys):
+        argv = ["eval", "--pred", f"gt={dataset / 'masks'}",
+                "--gt", str(dataset / "masks"),
+                "--flows", str(dataset / "flow"), "--classes", "2"]
+        csv_path = tmp_path / "table.csv"
+        with pytest.warns(UserWarning, match="degenerate motion"):
+            assert main(argv + ["--out", str(csv_path)]) == 0
+            assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert printed.startswith("method,")
+        assert printed == csv_path.read_text()
 
     def test_eval_too_few_frames_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "scene.cfg"

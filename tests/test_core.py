@@ -26,6 +26,26 @@ class TestFrame:
         assert (f.height, f.width, f.channels) == (5, 7, 3)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: Frame(np.zeros((2, 2, 1), np.uint8), index=-1),
+     "frame index must be nonnegative"),
+    (lambda: FeatureMap(np.zeros((2, 2))), r"feature data must be \(c, h, w\)"),
+    (lambda: FeatureMap(np.full((1, 2, 2), np.nan)),
+     "feature data must be finite"),
+    (lambda: FlowField(np.zeros((2, 2)), np.zeros((2, 3))),
+     "u and v must be 2-D arrays of identical shape"),
+    (lambda: FlowField(np.zeros((2, 2)), np.full((2, 2), np.nan)),
+     "flow must be finite"),
+    (lambda: SegmentationMask(np.zeros((2, 2, 1), np.uint8)),
+     "labels must be 2-D"),
+], ids=["frame-index", "features-2d", "features-nan", "flow-shapes",
+        "flow-nan", "mask-3d"])
+def test_containers_reject_bad_data(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$") as err:
+        make()
+    assert err.type is ValueError
+
+
 class TestPnm:
     def test_pgm_direct_byte_mapping(self, tmp_path):
         path = tmp_path / "t.pgm"

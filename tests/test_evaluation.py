@@ -86,6 +86,12 @@ class TestMiou:
 
 
 class TestFpRate:
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError,
+                           match="^mask dimensions must match$") as err:
+            fp_rate(mask([[0, 0]]), mask([[0], [0]]), 1)
+        assert err.type is ValueError
+
     def test_never_predicted(self):
         assert fp_rate(mask([[0, 0]] * 2), mask([[1, 1]] * 2), 2) == 0.0
 
@@ -195,6 +201,19 @@ class TestEvaluateRun:
         flows[3] = None
         with pytest.raises(ValueError):
             evaluate_run({"m": preds}, gts, flows, 2)
+
+    @pytest.mark.parametrize("short, message", [
+        ("flows", "need one flow per labeled frame"),
+        ("preds", "method 'm' has 9 masks, expected 10"),
+        ("video_ids", "need one video id per labeled frame")])
+    def test_misaligned_inputs_rejected(self, short, message):
+        preds, gts, flows = self._inputs()
+        args = {"preds": preds, "flows": flows, "video_ids": [0] * 10}
+        args[short] = args[short][:-1]
+        with pytest.raises(ValueError, match=f"^{message}$") as err:
+            evaluate_run({"m": args["preds"]}, gts, args["flows"], 2,
+                         video_ids=args["video_ids"])
+        assert err.type is ValueError
 
     def test_short_video_named(self):
         preds, gts, flows = self._inputs()

@@ -171,6 +171,19 @@ class TestSolveSchedule:
         assert (got.u.tobytes(), got.v.tobytes()) != (u.tobytes(),
                                                       v.tobytes())
 
+        # a 4x4 frame has one level, both the coarsest and the finest: its
+        # flow is one solve from zero with the finest count
+        prev4, curr4 = Frame(data[:4, :4]), Frame(data[1:5, 2:6], index=1)
+        scratch = _scratch((4, 4))
+        p, c = expand(prev4, scratch), expand(curr4, scratch)
+        assert len(p) == 1
+        zero = np.zeros((4, 4), np.float32)
+        u, v = _solve_level(c[0], p[0], zero, zero.copy(), scratch,
+                            ITERATIONS[-1])
+        got = pair_flow(prev4, curr4)
+        assert got.u.tobytes() == u.tobytes()
+        assert got.v.tobytes() == v.tobytes()
+
     def test_zero_iterations_return_the_input(self):
         prev, curr = shifted_pair(32, 40, 3, 2, 1)
         scratch = _scratch((32, 40))
@@ -348,6 +361,12 @@ class TestDownscale:
     def test_too_small(self):
         with pytest.raises(ValueError):
             downscale_frame(Frame(np.zeros((4, 4, 1), np.uint8)), 0.25)
+
+    def test_scale_outside_flow_scales(self):
+        with pytest.raises(ValueError,
+                           match=r"^scale must be one of 1, 1/2, 1/4$") as err:
+            downscale_frame(Frame(np.zeros((8, 8, 1), np.uint8)), 0.3)
+        assert err.type is ValueError
 
 
 class TestResizeFlow:

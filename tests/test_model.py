@@ -28,6 +28,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=r"\[2, 256\]"):
             ModelSpec(prototypes=[(k % 256, 0, 0) for k in range(num_classes)])
 
+    def test_feature_stride_positive(self):
+        with pytest.raises(ValueError,
+                           match="^feature_stride must be positive$") as err:
+            spec2(stride=0)
+        assert err.type is ValueError
+
     @pytest.mark.parametrize("color", [(0,), (0, 0), (0, 0, 0, 0)])
     def test_prototypes_are_rgb(self, color):
         with pytest.raises(ValueError, match="r, g, b"):

@@ -419,6 +419,8 @@ class TestSegmenter:
 
         masks(alpha=1.0, mode="mcma")
         masks(alpha=0.3, lam=0.0, mode="mcma")
+        masks(alpha=0.3, lam=1.0, mode="ema")
+        masks(alpha=0.3, lam=1.0, mode="baseline")
         assert calls == []
         masks(alpha=0.3, lam=1.0, mode="mcma")
         assert calls == [f.index for f in frames[1:]]

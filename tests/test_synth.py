@@ -109,6 +109,17 @@ class TestGenerate:
         with pytest.raises(ValueError, match=f"^{field} "):
             SceneObject(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(shape="triangle", size=(4, 3)), "shape must be rectangle or disk"),
+        (dict(shape="rectangle", size=(0, 5)),
+         "rectangle needs a positive size"),
+        (dict(shape="disk", radius=0), "disk needs a positive radius")])
+    def test_object_rejects_bad_shape(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$") as err:
+            SceneObject(class_id=1, color=(200, 60, 60), position=(5, 5),
+                        **kwargs)
+        assert err.type is ValueError
+
     def test_object_extent_limit_is_inclusive(self):
         SceneObject("disk", 1, (200, 60, 60), (5, 5), radius=MAX_EXTENT / 2)
         SceneObject("rectangle", 1, (200, 60, 60), (5, 5),
@@ -119,7 +130,7 @@ class TestGenerate:
         ("background_color", (40, 110, np.nan)),
         ("texture_amplitude", np.nan), ("texture_amplitude", np.inf),
         ("texture_amplitude", -1.0), ("global_velocity", (np.nan, 0)),
-        ("global_velocity", (0, -np.inf))])
+        ("global_velocity", (0, -np.inf)), ("label_noise_rate", 1.5)])
     def test_scene_rejects_bad_numbers(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} "):
             disk_scene(**{field: value})
@@ -128,6 +139,19 @@ class TestGenerate:
     def test_class_count_fits_uint8_labels(self, num_classes):
         with pytest.raises(ValueError, match=r"^num_classes .*\[2, 256\]"):
             SceneSpec(num_classes=num_classes)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(width=1, height=5), "scene must be at least 2x2"),
+        (dict(frames=0), "need at least one frame"),
+        (dict(objects=[SceneObject("disk", 2, (200, 60, 60), (5, 5),
+                                   radius=3)]), "object class out of range"),
+        (dict(background_class=2), "background class out of range"),
+        (dict(global_velocity=(9, 0)),
+         r"global speed components must be <= 8\.0")])
+    def test_scene_rejects_bad_layout(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$") as err:
+            disk_scene(**kwargs)
+        assert err.type is ValueError
 
 
 class TestMotionProfile:
