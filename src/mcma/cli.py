@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 
 from .core import (FLOW_SCALES, PipelineConfig, read_flow, read_frame,
                    read_mask, write_mask)
@@ -19,11 +20,26 @@ from .synth import (SceneObject, SceneSpec, generate, model_spec_from_scene,
                     save_dataset)
 
 
-def _parse_tuple(text, count, conv=float):
-    parts = [conv(p) for p in text.split(",")]
+def _number(key, text, conv=float):
+    """``conv(text)``; text that does not parse raises a ValueError that
+    starts with ``key``."""
+    try:
+        return conv(text)
+    except ValueError:
+        kind = "an integer" if conv is int else "a number"
+        raise ValueError(f"{key} must be {kind}: {text!r}") from None
+
+
+def _parse_tuple(key, text, count, conv=float):
+    try:
+        parts = tuple(conv(p) for p in text.split(","))
+    except ValueError:
+        parts = ()
     if len(parts) != count:
-        raise ValueError(f"expected {count} comma-separated values: {text!r}")
-    return tuple(parts)
+        kind = "integers" if conv is int else "numbers"
+        raise ValueError(
+            f"{key} must be {count} comma-separated {kind}: {text!r}")
+    return parts
 
 
 def _parse_object(text: str) -> SceneObject:
@@ -45,29 +61,32 @@ def _parse_object(text: str) -> SceneObject:
     shape = required("shape")
     if shape not in ("disk", "rectangle"):
         raise ValueError(f"unknown object shape {shape!r}")
-    cls = int(required("class"))
-    color = _parse_tuple(required("color"), 3, int)
-    velocity = _parse_tuple(kv.pop("velocity", "0,0"), 2)
+    cls = _number("class", required("class"), int)
+    color = _parse_tuple("color", required("color"), 3, int)
+    velocity = _parse_tuple("velocity", kv.pop("velocity", "0,0"), 2)
     if shape == "disk":
-        position = _parse_tuple(required("center"), 2)
+        position = _parse_tuple("center", required("center"), 2)
         obj = SceneObject("disk", cls, color, position, velocity,
-                          radius=float(required("radius")))
+                          radius=_number("radius", required("radius")))
     else:
-        position = _parse_tuple(required("topleft"), 2)
+        position = _parse_tuple("topleft", required("topleft"), 2)
         obj = SceneObject("rectangle", cls, color, position, velocity,
-                          size=_parse_tuple(required("size"), 2))
+                          size=_parse_tuple("size", required("size"), 2))
     if kv:
         raise ValueError(f"unknown object keys: {sorted(kv)}")
     return obj
 
 
-# converters of the scalar scene keys; SceneSpec supplies absent ones
+# parsers of the scalar scene keys, called with the key and its text;
+# SceneSpec supplies absent keys
+_integer = partial(_number, conv=int)
 _SCENE_KEYS = {
-    "width": int, "height": int, "num_classes": int, "background_class": int,
-    "background_color": lambda text: _parse_tuple(text, 3, int),
-    "texture_amplitude": float, "label_noise_rate": float,
-    "noise_class": int, "frames": int, "seed": int,
-    "global_velocity": lambda text: _parse_tuple(text, 2),
+    "width": _integer, "height": _integer, "num_classes": _integer,
+    "background_class": _integer, "noise_class": _integer,
+    "frames": _integer, "seed": _integer,
+    "background_color": partial(_parse_tuple, count=3, conv=int),
+    "texture_amplitude": _number, "label_noise_rate": _number,
+    "global_velocity": partial(_parse_tuple, count=2),
 }
 
 
@@ -92,7 +111,8 @@ def parse_scene_config(text: str) -> SceneSpec:
     if unknown:
         raise ValueError(f"unknown config keys: {unknown}")
     return SceneSpec(objects=objects,
-                     **{key: _SCENE_KEYS[key](val) for key, val in kv.items()})
+                     **{key: _SCENE_KEYS[key](key, val)
+                        for key, val in kv.items()})
 
 
 def load_scene(path: str) -> SceneSpec:
@@ -206,9 +226,11 @@ def cmd_bench(args) -> int:
 def cmd_eval(args) -> int:
     preds = {}
     for item in args.pred:
-        if "=" not in item:
+        name, sep, dirpath = item.partition("=")
+        if not (name and sep):
             raise ValueError("--pred expects NAME=DIR")
-        name, dirpath = item.split("=", 1)
+        if name in preds:
+            raise ValueError(f"repeated --pred name {name!r}")
         preds[name] = _load_masks(dirpath)
     gts = _load_masks(args.gt)
     flows = [read_flow(path) for path in _sorted_paths(args.flows, ".mcfl")]

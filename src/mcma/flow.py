@@ -19,10 +19,10 @@ to a fresh estimator.
 
 Everything after the grayscale runs in float32, over whole arrays: the
 pyramid's smoothing, the expansion, the solve and ``resize_flow``. The
-pyramid and the expansion correlate by slices of edge-padded buffers
-(``_correlate``), and the expansion folds the inverse of its metric into
-its 1-D kernels, so each of its five coefficients is one row pass and one
-column pass.
+pyramid and the expansion correlate by slices of padded buffers whose
+edges ``_correlate`` replicates itself, and the expansion folds the inverse
+of its metric into its 1-D kernels, so each of its five coefficients is
+one row pass and one column pass.
 
 Scratch: the temporaries of the pyramid, the expansion and the solve live
 in one block of ``SCRATCH_PLANES`` float64 planes of the finest level
@@ -138,24 +138,19 @@ def _along(axis: int, start: int, stop: int):
     return (slice(None),) * axis + (slice(start, stop),)
 
 
-def _replicate_edges(buf: np.ndarray, r: int, axis: int):
-    """Fill the ``r`` cells at both ends of ``axis`` with the outermost
-    inner cells, as ndimage's ``nearest`` mode reads them."""
-    buf[_along(axis, 0, r)] = buf[_along(axis, r, r + 1)]
-    n = buf.shape[axis]
-    buf[_along(axis, n - r, n)] = buf[_along(axis, n - r - 1, n - r)]
-
-
 def _correlate(src: np.ndarray, kernel: np.ndarray, axis: int,
                out: np.ndarray, tmp: np.ndarray):
     """``out`` = ``ndimage.correlate1d(inner, kernel, axis)`` in float32,
-    where ``src`` is the inner array with ``len(kernel) // 2`` replicated
-    cells beyond each end of ``axis`` (``_replicate_edges``). The float32
-    ``kernel`` is symmetric or antisymmetric, so each pair of taps at one
-    distance costs an add or a subtract and one multiply, on whole-array
-    slices. ``tmp`` is a buffer of ``out``'s shape."""
+    where ``src`` is the inner array with ``len(kernel) // 2`` padding
+    cells beyond each end of ``axis``. It fills that padding itself with
+    the outermost inner cells, as ndimage's ``nearest`` mode reads them.
+    The float32 ``kernel`` is symmetric or antisymmetric, so each pair of
+    taps at one distance costs an add or a subtract and one multiply, on
+    whole-array slices. ``tmp`` is a buffer of ``out``'s shape."""
     r = len(kernel) // 2
     n = out.shape[axis]
+    src[_along(axis, 0, r)] = src[_along(axis, r, r + 1)]
+    src[_along(axis, n + r, n + 2 * r)] = src[_along(axis, n + r - 1, n + r)]
 
     def tap(j):
         return src[_along(axis, j, j + n)]
@@ -240,10 +235,8 @@ def polynomial_expansion(img: np.ndarray, scratch: np.ndarray):
         scratch, ((h, w + 2 * r), np.float32), ((h, w), np.float32),
         *[((h + 2 * r, w), np.float32)] * len(_ROW_KERNELS))
     pad_x[:, r:r + w] = img
-    _replicate_edges(pad_x, r, axis=1)
     for kernel, row in zip(_ROW_KERNELS, rows):
         _correlate(pad_x, kernel, 1, row[r:r + h], tmp)
-        _replicate_edges(row, r, axis=0)
     coeffs = []
     for i, kernel in _COLUMN_KERNELS:
         coeff = np.empty((h, w), np.float32)
@@ -290,9 +283,7 @@ def _pyramid(img: np.ndarray, scratch: np.ndarray):
             ((ph, pw + 2 * r), np.float32), ((ph, pw), np.float32),
             ((ph, pw), np.float32))
         pad_y[r:r + ph] = prev
-        _replicate_edges(pad_y, r, axis=0)
         _correlate(pad_y, _SMOOTH, 0, pad_x[:, r:r + pw], tmp)
-        _replicate_edges(pad_x, r, axis=1)
         _correlate(pad_x, _SMOOTH, 1, smoothed, tmp)
         pyr.append(bilinear(smoothed, h, w))
     return pyr

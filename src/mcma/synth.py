@@ -98,6 +98,8 @@ class SceneSpec:
             raise ValueError("scene must be at least 2x2")
         if self.frames < 1:
             raise ValueError("need at least one frame")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         _check_class_count(self.num_classes, "num_classes")
         for obj in self.objects:
             if not 0 <= obj.class_id < self.num_classes:

@@ -118,7 +118,17 @@ class TestGenerate:
         ("object = shape=disk class=1 color=200,60,60 center=4,4 "
          "radius=1e7", "radius"),
         ("object = shape=rectangle class=1 color=200,60,60 topleft=4,4 "
-         "size=1e9,3", "size")])
+         "size=1e9,3", "size"),
+        ("width = 1.5", "width"),
+        ("global_velocity = a,b", "global_velocity"),
+        ("global_velocity = 1", "global_velocity"),
+        ("object = shape=disk class=x color=200,60,60 center=4,4 radius=3",
+         "class"),
+        ("object = shape=disk class=1 color=200,60,60 center=4,4 radius=r",
+         "radius"),
+        ("object = shape=disk class=1 color=1,2 center=4,4 radius=3",
+         "color"),
+        ("seed = -1", "seed")])
     def test_bad_number_exits_1(self, tmp_path, capsys, line, field):
         err = self.generate_fails(tmp_path, capsys, with_line(line))
         assert err.startswith(f"error: {field} ")
@@ -129,7 +139,13 @@ class TestGenerate:
          "radius=3", "bad object token 'bogus'"),
         ("object = shape=disk class=1 color=200,60,60 center=4,4 radius=3 "
          "spin=2", "unknown object keys: ['spin']"),
-        ("global_velocity = 1", "expected 2 comma-separated values: '1'")])
+        ("width = 1.5", "width must be an integer: '1.5'"),
+        ("texture_amplitude = lots",
+         "texture_amplitude must be a number: 'lots'"),
+        ("global_velocity = a,b",
+         "global_velocity must be 2 comma-separated numbers: 'a,b'"),
+        ("object = shape=disk class=1 color=1,2 center=4,4 radius=3",
+         "color must be 3 comma-separated integers: '1,2'")])
     def test_malformed_line_exits_1(self, tmp_path, capsys, line, message):
         text = with_line(line)
         with pytest.raises(ValueError) as err:
@@ -325,6 +341,18 @@ class TestEvalAndSweep:
                      "--flows", str(dataset / "flow"),
                      "--classes", "2"]) == 1
         assert capsys.readouterr().err == "error: --pred expects NAME=DIR\n"
+
+    @pytest.mark.parametrize("names, message", [
+        (("m", "m"), "repeated --pred name 'm'"),
+        (("",), "--pred expects NAME=DIR")], ids=["repeated", "empty"])
+    def test_eval_pred_names_distinct_and_nonempty(self, dataset, capsys,
+                                                   names, message):
+        preds = [arg for name in names
+                 for arg in ("--pred", f"{name}={dataset / 'masks'}")]
+        assert main(["eval", *preds, "--gt", str(dataset / "masks"),
+                     "--flows", str(dataset / "flow"),
+                     "--classes", "2"]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_eval_without_out_prints_the_csv(self, dataset, tmp_path,
                                              capsys):

@@ -9,6 +9,7 @@ from mcma import (FlowEstimator, FlowField, Frame, SceneObject, SceneSpec,
                   downscale_frame, generate, motion_in_input_pixels,
                   resize_flow, to_grayscale)
 from mcma.flow import (ITERATIONS, POLY_N, POLY_SIGMA, PYRAMID_LEVELS,
+                       _ROW_KERNELS, _SMOOTH, _along, _correlate,
                        _inverse_metric, _pyramid, _scratch, _solve_level,
                        expand, polynomial_expansion)
 from mcma.resample import bilinear
@@ -54,6 +55,33 @@ def brute_force_expansion(img, y, x, poly_n, poly_sigma):
     r = np.linalg.solve(B.T @ W @ B, B.T @ W @ np.asarray(values))
     c, b1, b2, a11, a22, axy = r
     return a11, axy / 2.0, a22, b1, b2, c
+
+
+class TestCorrelate:
+    @pytest.mark.parametrize("shape", [(7, 9), (3, 5)], ids=["7x9", "3x5"])
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("kernel", [_SMOOTH, _ROW_KERNELS[0],
+                                        _ROW_KERNELS[2]],
+                             ids=["smooth", "symmetric", "antisymmetric"])
+    def test_fills_its_own_padding(self, kernel, axis, shape):
+        # oracle: ndimage's nearest mode over the inner array; the padding
+        # starts as NaN, so any cell the helper leaves unfilled reaches
+        # the output. On 3x5 the 9-tap kernel reaches past the far side.
+        assert kernel[0] == kernel[-1] or kernel[0] == -kernel[-1]
+        inner = np.random.default_rng(3).normal(100, 25, shape)
+        inner = inner.astype(np.float32)
+        r = len(kernel) // 2
+        padded = list(shape)
+        padded[axis] += 2 * r
+        src = np.full(padded, np.nan, np.float32)
+        src[_along(axis, r, r + shape[axis])] = inner
+        out = np.empty(shape, np.float32)
+        _correlate(src, kernel, axis, out, np.empty_like(out))
+        want = ndimage.correlate1d(inner.astype(np.float64),
+                                   kernel.astype(np.float64), axis,
+                                   mode="nearest")
+        tol = 4 * EPS32 * np.abs(kernel).sum() * np.abs(inner).max()
+        assert np.abs(out - want).max() <= tol
 
 
 class TestPolynomialExpansion:

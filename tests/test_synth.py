@@ -130,7 +130,8 @@ class TestGenerate:
         ("background_color", (40, 110, np.nan)),
         ("texture_amplitude", np.nan), ("texture_amplitude", np.inf),
         ("texture_amplitude", -1.0), ("global_velocity", (np.nan, 0)),
-        ("global_velocity", (0, -np.inf)), ("label_noise_rate", 1.5)])
+        ("global_velocity", (0, -np.inf)), ("label_noise_rate", 1.5),
+        ("seed", -1)])
     def test_scene_rejects_bad_numbers(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} "):
             disk_scene(**{field: value})
