@@ -20,9 +20,12 @@ to a fresh estimator.
 Everything after the grayscale runs in float32, over whole arrays: the
 pyramid's smoothing, the expansion, the solve and ``resize_flow``. The
 pyramid and the expansion correlate by slices of padded buffers whose
-edges ``_correlate`` replicates itself, and the expansion folds the inverse
-of its metric into its 1-D kernels, so each of its five coefficients is
-one row pass and one column pass.
+edges ``_correlate`` replicates itself, once per buffer for all the
+kernels that read it, and the expansion folds the inverse of its metric
+into its 1-D kernels, so each of its five coefficients is one row pass and
+one column pass. The solve's box filters are scipy's ``uniform_filter1d``;
+``_solve_level`` imports ``scipy.ndimage`` when it runs, not this module,
+so a process that never solves flow never loads scipy.
 
 Scratch: the temporaries of the pyramid, the expansion and the solve live
 in one block of ``SCRATCH_PLANES`` float64 planes of the finest level
@@ -49,7 +52,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import ndimage
 
 from .core import FLOW_SCALES, FlowField, Frame
 from .resample import area_mean, bilinear
@@ -139,14 +141,17 @@ def _along(axis: int, start: int, stop: int):
 
 
 def _correlate(src: np.ndarray, kernel: np.ndarray, axis: int,
-               out: np.ndarray, tmp: np.ndarray):
+               out: np.ndarray, tmp: np.ndarray, *more):
     """``out`` = ``ndimage.correlate1d(inner, kernel, axis)`` in float32,
     where ``src`` is the inner array with ``len(kernel) // 2`` padding
     cells beyond each end of ``axis``. It fills that padding itself with
     the outermost inner cells, as ndimage's ``nearest`` mode reads them.
-    The float32 ``kernel`` is symmetric or antisymmetric, so each pair of
-    taps at one distance costs an add or a subtract and one multiply, on
-    whole-array slices. ``tmp`` is a buffer of ``out``'s shape."""
+    ``more`` holds further (kernel, out) pairs of kernels as long as
+    ``kernel`` that read the same ``src``; the padding is filled once for
+    all of them. A float32 kernel is symmetric or antisymmetric, so each
+    pair of taps at one distance costs an add or a subtract and one
+    multiply, on whole-array slices. ``tmp`` is a buffer of ``out``'s
+    shape."""
     r = len(kernel) // 2
     n = out.shape[axis]
     src[_along(axis, 0, r)] = src[_along(axis, r, r + 1)]
@@ -155,17 +160,18 @@ def _correlate(src: np.ndarray, kernel: np.ndarray, axis: int,
     def tap(j):
         return src[_along(axis, j, j + n)]
 
-    pair = np.add if kernel[0] == kernel[-1] else np.subtract
-    started = bool(kernel[r])
-    if started:
-        np.multiply(tap(r), kernel[r], out=out)
-    for d in range(1, r + 1):
-        dst = tmp if started else out
-        pair(tap(r + d), tap(r - d), out=dst)
-        dst *= kernel[r + d]
+    for kernel, out in ((kernel, out), *more):
+        pair = np.add if kernel[0] == kernel[-1] else np.subtract
+        started = bool(kernel[r])
         if started:
-            out += tmp
-        started = True
+            np.multiply(tap(r), kernel[r], out=out)
+        for d in range(1, r + 1):
+            dst = tmp if started else out
+            pair(tap(r + d), tap(r - d), out=dst)
+            dst *= kernel[r + d]
+            if started:
+                out += tmp
+            started = True
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +241,15 @@ def polynomial_expansion(img: np.ndarray, scratch: np.ndarray):
         scratch, ((h, w + 2 * r), np.float32), ((h, w), np.float32),
         *[((h + 2 * r, w), np.float32)] * len(_ROW_KERNELS))
     pad_x[:, r:r + w] = img
-    for kernel, row in zip(_ROW_KERNELS, rows):
-        _correlate(pad_x, kernel, 1, row[r:r + h], tmp)
-    coeffs = []
-    for i, kernel in _COLUMN_KERNELS:
-        coeff = np.empty((h, w), np.float32)
-        _correlate(rows[i], kernel, 0, coeff, tmp)
-        coeffs.append(coeff)
+    # each padded buffer is filled once, by one call for all its kernels
+    (kernel, row), *more = [(k, row[r:r + h])
+                            for k, row in zip(_ROW_KERNELS, rows)]
+    _correlate(pad_x, kernel, 1, row, tmp, *more)
+    coeffs = [np.empty((h, w), np.float32) for _ in _COLUMN_KERNELS]
+    for i, row in enumerate(rows):
+        (kernel, coeff), *more = [(k, c) for (j, k), c
+                                  in zip(_COLUMN_KERNELS, coeffs) if j == i]
+        _correlate(row, kernel, 0, coeff, tmp, *more)
     return tuple(coeffs)
 
 
@@ -308,6 +316,9 @@ def _solve_level(cur, prev, u, v, scratch: np.ndarray, iterations: int):
     the temporaries are carved from ``scratch``. Each step is the float32
     operation of the plain expression in the comment above it, in its
     order, so the result does not depend on where the temporaries live."""
+    # 0.3-0.4 s to import on a 2-CPU Xeon VM; only a flow solve pays it
+    from scipy import ndimage
+
     h, w = u.shape
     a11c, a12c, a22c, b1c, b2c = cur
     a11p, a12p, a22p, b1p, b2p = (a.ravel() for a in prev)

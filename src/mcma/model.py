@@ -7,6 +7,10 @@ files so real networks can be plugged in offline.
 
 The class count is the features' channel count: the number of prototypes
 for the reference model, the files' channel count for feature files.
+
+The model runs on NumPy alone: decode's 3 x 3 boundary test takes its
+neighbourhood min and max by slices, so importing the package does not
+load scipy, which only the flow solve needs (``mcma.flow``).
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .core import FeatureMap, Frame, SegmentationMask, read_features
 from .resample import area_mean, gather, half_pixel
@@ -140,8 +143,7 @@ def decode(features: FeatureMap, spec: ModelSpec) -> SegmentationMask:
     if m <= _FLT_MAX / 4:
         key = label.astype(np.int16)
         key[top - second <= _margin(m)] = -1
-        low = ndimage.minimum_filter(key, 3, mode="nearest")
-        high = ndimage.maximum_filter(key, 3, mode="nearest")
+        low, high = _min_max_3x3(key)
         boundary = (low != high) | (low < 0)
     else:
         boundary = np.ones((h, w), bool)
@@ -155,6 +157,19 @@ def _margin(m) -> np.float32:
     u, eta = 2.0 ** -24, 2.0 ** -149
     delta = (20 * u + 80 * u * u) * float(m) + 6 * eta
     return np.nextafter(np.float32(delta), np.float32(np.inf))
+
+
+def _min_max_3x3(key: np.ndarray):
+    """The min and the max of each cell's 3 x 3 neighbourhood, edges
+    replicated (ndimage's ``nearest`` mode): one pass of three slices per
+    axis over a copy padded by one cell."""
+    pad = np.pad(key, 1, mode="edge")
+    result = []
+    for reduce in (np.minimum, np.maximum):
+        rows = reduce(reduce(pad[:-2], pad[1:-1]), pad[2:])
+        result.append(reduce(reduce(rows[:, :-2], rows[:, 1:-1]),
+                             rows[:, 2:]))
+    return result
 
 
 def _top_two(data: np.ndarray):

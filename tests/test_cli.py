@@ -1,8 +1,11 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mcma
 from mcma import (FeatureMap, SceneSpec, model_spec_from_scene,
                   write_features)
 from mcma.cli import load_frames, main, parse_scene_config
@@ -424,3 +427,64 @@ class TestBench:
         assert capsys.readouterr().err == (
             "error: bench needs at least 3 frames, got 2\n")
         assert not csv_path.exists()
+
+
+# Runs ``mcma.cli.main`` on its arguments in a fresh interpreter, then
+# writes on stderr's last line whether scipy and scipy.ndimage are loaded.
+CHILD = """\
+import sys
+from mcma.cli import main
+status = main(sys.argv[1:])
+print(*(name in sys.modules for name in ("scipy", "scipy.ndimage")),
+      file=sys.stderr)
+sys.exit(status)
+"""
+
+
+def scipy_loaded_after(argv):
+    """(scipy, scipy.ndimage) loaded after ``mcma <argv>`` in a fresh
+    process; this one has loaded scipy already, because the tests import
+    it."""
+    src = os.path.dirname(os.path.dirname(mcma.__file__))
+    proc = subprocess.run([sys.executable, "-c", CHILD, *argv],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return tuple(word == "True" for word in proc.stderr.split()[-2:])
+
+
+class TestStartUp:
+    """Only the flow solve loads scipy."""
+
+    def test_generate_leaves_scipy_out(self, tmp_path):
+        cfg = tmp_path / "scene.cfg"
+        cfg.write_text(SCENE)
+        assert scipy_loaded_after(["generate", "--config", str(cfg),
+                                   "--out", str(tmp_path / "data")]) == (
+            False, False)
+
+    @pytest.mark.parametrize("mode", ["baseline", "ema"])
+    def test_run_without_flow_leaves_scipy_out(self, dataset, tmp_path, mode):
+        assert scipy_loaded_after(["run", "--frames", str(dataset / "frames"),
+                                   "--mode", mode, "--alpha", "0.5",
+                                   "--lambda", "1.0",
+                                   "--out", str(tmp_path / "out")]) == (
+            False, False)
+
+    def test_eval_leaves_scipy_out(self, dataset, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", "--frames", str(dataset / "frames"),
+                     "--mode", "baseline", "--out", str(out)]) == 0
+        assert scipy_loaded_after(["eval", "--pred", f"baseline={out}",
+                                   "--gt", str(dataset / "masks"),
+                                   "--flows", str(dataset / "flow"),
+                                   "--classes", "2",
+                                   "--out", str(tmp_path / "table.csv")]) == (
+            False, False)
+
+    def test_flow_solve_loads_scipy_ndimage(self, dataset, tmp_path):
+        assert scipy_loaded_after(["run", "--frames", str(dataset / "frames"),
+                                   "--mode", "mcma", "--alpha", "0.5",
+                                   "--lambda", "1.0", "--flow-scale", "0.5",
+                                   "--out", str(tmp_path / "out")]) == (
+            True, True)

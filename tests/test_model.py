@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from mcma import FeatureMap, Frame, ModelSpec, decode, encode, write_features
-from mcma.model import feature_file_path
+from mcma.model import _min_max_3x3, feature_file_path
 from mcma.resample import area_mean
 
 
@@ -179,3 +180,17 @@ class TestDecode:
         a = decode(FeatureMap(data), spec)
         b = decode(FeatureMap(data + 3.25), spec)
         assert np.array_equal(a.labels, b.labels)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 2),
+                                       (3, 3), (17, 23)])
+    @pytest.mark.parametrize("labels", [2, 256])
+    def test_min_max_3x3_matches_ndimage(self, rng, shape, labels):
+        # oracle: ndimage's 3x3 filters with edges replicated, on keys as
+        # decode builds them: labels, and -1 where a cell's gap is small
+        key = rng.integers(-1, labels, shape).astype(np.int16)
+        low, high = _min_max_3x3(key)
+        want_low = ndimage.minimum_filter(key, 3, mode="nearest")
+        want_high = ndimage.maximum_filter(key, 3, mode="nearest")
+        assert low.dtype == high.dtype == np.int16
+        assert np.array_equal(low, want_low)
+        assert np.array_equal(high, want_high)
