@@ -37,8 +37,7 @@ for mode, masks in preds.items():
     print(f"  {mode:8s} {rate:.4f}")
 
 print("\nalpha sweep (gap = mcma - ema):")
-cfg = PipelineConfig(alpha=0.5, lam=1.0, flow_scale=0.5)
-rows = alpha_sweep(frames, gts, cfg, model,
+rows = alpha_sweep(frames, gts, model, lam=1.0, flow_scale=0.5,
                    alphas=[round(0.1 * k, 1) for k in range(1, 10)])
 scores = {}
 for alpha, method, value in rows:

@@ -190,10 +190,9 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     frames = load_frames(args.frames)
     gts = _load_masks(args.gt)
-    cfg = PipelineConfig(alpha=0.5, lam=getattr(args, "lambda"),
-                         flow_scale=args.flow_scale)
     spec = _model_spec(args, args.frames)
-    rows = alpha_sweep(frames, gts, cfg, spec)
+    rows = alpha_sweep(frames, gts, spec, lam=getattr(args, "lambda"),
+                       flow_scale=args.flow_scale)
     with open(args.out, "w") as fh:
         fh.write("alpha,method,miou\n")
         for alpha, method, value in rows:

@@ -21,6 +21,12 @@ class FormatError(ValueError):
     """Raised for malformed or truncated binary files."""
 
 
+def check_integer(name: str, value) -> None:
+    """Reject a ``value`` that is not a Python or NumPy integer."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer")
+
+
 @dataclass(frozen=True)
 class Frame:
     """A single video frame, uint8, shape (height, width, channels)."""
@@ -36,6 +42,7 @@ class Frame:
             raise ValueError("frame data must be (h, w, c) with c in {1, 3}")
         if d.shape[0] < 2 or d.shape[1] < 2:
             raise ValueError("frame must be at least 2x2")
+        check_integer("frame index", self.index)
         if self.index < 0:
             raise ValueError("frame index must be nonnegative")
         object.__setattr__(self, "data", d)

@@ -33,14 +33,14 @@ in one block of ``SCRATCH_PLANES`` float64 planes of the finest level
 the same block. The solve's 19 planes take 81 of its 88 bytes per pixel;
 the pyramid's padded copies and the expansion's padded copy and 3 row
 passes, all float32, take about 16 and 20. ``FlowEstimator`` makes its
-block on the first push and again only when the frame size changes, so the
-flow path allocates no large temporaries in steady state and its speed
-does not depend on whether the allocator gave the last frame's memory back
-to the system. The three never run at the same time, so they share it. The
-block holds temporaries only: the pyramid's levels, the kept expansions
-and the returned fields are fresh arrays, and nothing read from the block
-outlives the call that wrote it, so callers may keep every result while
-the block is reused.
+block on the first push and serves only that frame size (a push of another
+fails), so the flow path allocates no large temporaries in steady state
+and its speed does not depend on whether the allocator gave the last
+frame's memory back to the system. The three never run at the same time,
+so they share it. The block holds temporaries only: the pyramid's levels,
+the kept expansions and the returned fields are fresh arrays, and nothing
+read from the block outlives the call that wrote it, so callers may keep
+every result while the block is reused.
 
 Convention: the returned field is backward flow on the *current* frame's
 grid. A pixel p of the current frame originates from p + (u(p), v(p)) in the
@@ -140,18 +140,16 @@ def _along(axis: int, start: int, stop: int):
     return (slice(None),) * axis + (slice(start, stop),)
 
 
-def _correlate(src: np.ndarray, kernel: np.ndarray, axis: int,
-               out: np.ndarray, tmp: np.ndarray, *more):
-    """``out`` = ``ndimage.correlate1d(inner, kernel, axis)`` in float32,
-    where ``src`` is the inner array with ``len(kernel) // 2`` padding
-    cells beyond each end of ``axis``. It fills that padding itself with
-    the outermost inner cells, as ndimage's ``nearest`` mode reads them.
-    ``more`` holds further (kernel, out) pairs of kernels as long as
-    ``kernel`` that read the same ``src``; the padding is filled once for
-    all of them. A float32 kernel is symmetric or antisymmetric, so each
-    pair of taps at one distance costs an add or a subtract and one
-    multiply, on whole-array slices. ``tmp`` is a buffer of ``out``'s
-    shape."""
+def _correlate(src: np.ndarray, axis: int, tmp: np.ndarray, pairs):
+    """``out`` = ``ndimage.correlate1d(inner, kernel, axis)`` in float32 for
+    each (kernel, out) of ``pairs``, kernels of one length, where ``src`` is
+    the inner array with ``len(kernel) // 2`` padding cells beyond each end
+    of ``axis``. It fills that padding once, itself, with the outermost
+    inner cells, as ndimage's ``nearest`` mode reads them. A float32 kernel
+    is symmetric or antisymmetric, so each pair of taps at one distance
+    costs an add or a subtract and one multiply, on whole-array slices.
+    ``tmp`` is a buffer of each ``out``'s shape."""
+    kernel, out = pairs[0]
     r = len(kernel) // 2
     n = out.shape[axis]
     src[_along(axis, 0, r)] = src[_along(axis, r, r + 1)]
@@ -160,7 +158,7 @@ def _correlate(src: np.ndarray, kernel: np.ndarray, axis: int,
     def tap(j):
         return src[_along(axis, j, j + n)]
 
-    for kernel, out in ((kernel, out), *more):
+    for kernel, out in pairs:
         pair = np.add if kernel[0] == kernel[-1] else np.subtract
         started = bool(kernel[r])
         if started:
@@ -242,14 +240,12 @@ def polynomial_expansion(img: np.ndarray, scratch: np.ndarray):
         *[((h + 2 * r, w), np.float32)] * len(_ROW_KERNELS))
     pad_x[:, r:r + w] = img
     # each padded buffer is filled once, by one call for all its kernels
-    (kernel, row), *more = [(k, row[r:r + h])
-                            for k, row in zip(_ROW_KERNELS, rows)]
-    _correlate(pad_x, kernel, 1, row, tmp, *more)
+    _correlate(pad_x, 1, tmp, [(k, row[r:r + h])
+                               for k, row in zip(_ROW_KERNELS, rows)])
     coeffs = [np.empty((h, w), np.float32) for _ in _COLUMN_KERNELS]
     for i, row in enumerate(rows):
-        (kernel, coeff), *more = [(k, c) for (j, k), c
-                                  in zip(_COLUMN_KERNELS, coeffs) if j == i]
-        _correlate(row, kernel, 0, coeff, tmp, *more)
+        _correlate(row, 0, tmp, [(k, c) for (j, k), c
+                                 in zip(_COLUMN_KERNELS, coeffs) if j == i])
     return tuple(coeffs)
 
 
@@ -291,8 +287,8 @@ def _pyramid(img: np.ndarray, scratch: np.ndarray):
             ((ph, pw + 2 * r), np.float32), ((ph, pw), np.float32),
             ((ph, pw), np.float32))
         pad_y[r:r + ph] = prev
-        _correlate(pad_y, _SMOOTH, 0, pad_x[:, r:r + pw], tmp)
-        _correlate(pad_x, _SMOOTH, 1, smoothed, tmp)
+        _correlate(pad_y, 0, tmp, [(_SMOOTH, pad_x[:, r:r + pw])])
+        _correlate(pad_x, 1, tmp, [(_SMOOTH, smoothed)])
         pyr.append(bilinear(smoothed, h, w))
     return pyr
 
@@ -429,7 +425,7 @@ class FlowEstimator:
     fails leaves the estimator as it was.
 
     The estimator also owns one scratch block (see the module docstring),
-    made on the first push and again when the frame size changes. The block
+    made on the first push for the one frame size it serves. The block
     carries nothing from one push to the next, so a shallow copy, which
     ``Segmenter`` pushes to, may share it; the kept expansions are state
     and are rebound, never mutated. A block must not serve two pushes at

@@ -21,7 +21,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import FeatureMap, Frame, SegmentationMask, read_features
+from .core import (FeatureMap, Frame, SegmentationMask, check_integer,
+                   read_features)
 from .resample import area_mean, gather, half_pixel
 
 _FLT_MAX = float(np.finfo(np.float32).max)
@@ -46,6 +47,7 @@ class ModelSpec:
     feature_dir: Optional[str] = None
 
     def __post_init__(self):
+        check_integer("feature_stride", self.feature_stride)
         if self.feature_stride < 1:
             raise ValueError("feature_stride must be positive")
         if (self.feature_dir is None) == (len(self.prototypes) == 0):

@@ -15,7 +15,6 @@ calling thread, so both schedules give bit-identical masks.
 from __future__ import annotations
 
 import copy
-import dataclasses
 import io
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -260,14 +259,15 @@ def benchmark_report(timings: Sequence[StageTiming]) -> str:
     return buf.getvalue()
 
 
-def alpha_sweep(frames: Sequence[Frame], gts, cfg: PipelineConfig,
-                model_spec: ModelSpec,
+def alpha_sweep(frames: Sequence[Frame], gts, model_spec: ModelSpec, *,
+                lam: float, flow_scale: float,
                 alphas: Optional[Sequence[float]] = None):
-    """mIoU of plain EMA vs MCMA over a grid of smoothing factors.
+    """mIoU of plain EMA vs MCMA at ``lam`` over a grid of smoothing factors.
 
-    Encoder features and flow fields depend only on the frames, so they are
-    computed once and replayed in order through a fresh Segmenter per alpha
-    and method. ``gts`` holds one mask per frame. Returns rows of
+    Every alpha and ``lam`` is checked before any work. Flow fields (on the
+    ``flow_scale`` grid) and encoder features depend only on the frames, so
+    they are computed once and replayed in order through a fresh Segmenter
+    per alpha and method. ``gts`` holds one mask per frame. Returns rows of
     (alpha, method, miou) aggregated over the whole sequence.
     """
     frames = list(frames)
@@ -278,27 +278,24 @@ def alpha_sweep(frames: Sequence[Frame], gts, cfg: PipelineConfig,
                          f"{len(gts)} for {len(frames)} frames")
     if alphas is None:
         alphas = [round(0.1 + 0.05 * k, 2) for k in range(17)]
+    runs = [PipelineConfig(alpha=a, lam=lam, mode=m)
+            for a in alphas for m in ("ema", "mcma")]
+    estimator = FlowEstimator()
+    flows = [estimator.push(downscale_frame(f, flow_scale)) for f in frames]
     feats = [encode(f, model_spec) for f in frames]
     num_classes = feats[0].channels
-    small = [downscale_frame(f, cfg.flow_scale) for f in frames]
-    estimator = FlowEstimator()
-    flows = [estimator.push(f) for f in small]
 
-    # the replayed sources ignore their frames: the stream gets the flow-grid
-    # copies at flow scale 1, not downscaled again, on the calling thread
+    # the replayed sources ignore the frames, which flow scale 1 passes as is
     rows = []
-    for alpha in alphas:
-        for method in ("ema", "mcma"):
-            replay_feats, replay_flows = iter(feats), iter(flows)
-            seg = Segmenter(dataclasses.replace(cfg, alpha=alpha, mode=method,
-                                                flow_scale=1.0,
-                                                executor="sequential"),
-                            model_spec,
-                            encoder=lambda _: next(replay_feats),
-                            flow=SimpleNamespace(
-                                push=lambda _: next(replay_flows)))
-            masks = (mask for mask, _ in seg.stream(small))
-            rows.append((alpha, method, pooled_miou(masks, gts, num_classes)))
+    for cfg in runs:
+        replay_feats, replay_flows = iter(feats), iter(flows)
+        seg = Segmenter(cfg, model_spec,
+                        encoder=lambda _: next(replay_feats),
+                        flow=SimpleNamespace(
+                            push=lambda _: next(replay_flows)))
+        masks = (mask for mask, _ in seg.stream(frames))
+        rows.append((cfg.alpha, cfg.mode,
+                     pooled_miou(masks, gts, num_classes)))
     return rows
 
 

@@ -26,8 +26,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import (FlowField, Frame, SegmentationMask, write_flow, write_frame,
-                   write_mask)
+from .core import (FlowField, Frame, SegmentationMask, check_integer,
+                   write_flow, write_frame, write_mask)
 from .model import ModelSpec, _check_class_count
 
 MAX_SPEED = 8.0
@@ -60,6 +60,7 @@ class SceneObject:
     def __post_init__(self):
         if self.shape not in ("rectangle", "disk"):
             raise ValueError("shape must be rectangle or disk")
+        check_integer("class_id", self.class_id)
         _check_color("color", self.color)
         _check_finite("position", *self.position)
         _check_finite("velocity", *self.velocity)
@@ -94,6 +95,9 @@ class SceneSpec:
     global_velocity: Tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
+        for name in ("width", "height", "num_classes", "background_class",
+                     "frames", "seed"):
+            check_integer(name, getattr(self, name))
         if self.width < 2 or self.height < 2:
             raise ValueError("scene must be at least 2x2")
         if self.frames < 1:
@@ -110,9 +114,10 @@ class SceneSpec:
         if not 0.0 <= self.texture_amplitude < math.inf:
             raise ValueError("texture_amplitude must be finite and "
                              "nonnegative")
-        if (self.noise_class is not None
-                and not 0 <= self.noise_class < self.num_classes):
-            raise ValueError("noise class out of range")
+        if self.noise_class is not None:
+            check_integer("noise_class", self.noise_class)
+            if not 0 <= self.noise_class < self.num_classes:
+                raise ValueError("noise class out of range")
         if not 0.0 <= self.label_noise_rate <= 1.0:
             raise ValueError("label_noise_rate must be in [0, 1]")
         gx, gy = self.global_velocity

@@ -260,10 +260,9 @@ def test_criterion_6_alpha_sweep_shape():
     seq = generate(spec)
     frames = [s[0] for s in seq]
     gts = [s[1] for s in seq]
-    cfg = PipelineConfig(alpha=0.5, lam=1.0, flow_scale=0.5, num_classes=2)
     alphas = [round(0.1 * k, 1) for k in range(1, 10)]
-    rows = alpha_sweep(frames, gts, cfg, model_spec_from_scene(spec),
-                       alphas=alphas)
+    rows = alpha_sweep(frames, gts, model_spec_from_scene(spec), lam=1.0,
+                       flow_scale=0.5, alphas=alphas)
     by_alpha = {}
     for alpha, method, value in rows:
         by_alpha.setdefault(alpha, {})[method] = value

@@ -29,6 +29,8 @@ class TestFrame:
 @pytest.mark.parametrize("make, message", [
     (lambda: Frame(np.zeros((2, 2, 1), np.uint8), index=-1),
      "frame index must be nonnegative"),
+    (lambda: Frame(np.zeros((2, 2, 1), np.uint8), index=1.5),
+     "frame index must be an integer"),
     (lambda: FeatureMap(np.zeros((2, 2))), r"feature data must be \(c, h, w\)"),
     (lambda: FeatureMap(np.full((1, 2, 2), np.nan)),
      "feature data must be finite"),
@@ -38,8 +40,8 @@ class TestFrame:
      "flow must be finite"),
     (lambda: SegmentationMask(np.zeros((2, 2, 1), np.uint8)),
      "labels must be 2-D"),
-], ids=["frame-index", "features-2d", "features-nan", "flow-shapes",
-        "flow-nan", "mask-3d"])
+], ids=["frame-index", "frame-index-float", "features-2d", "features-nan",
+        "flow-shapes", "flow-nan", "mask-3d"])
 def test_containers_reject_bad_data(make, message):
     with pytest.raises(ValueError, match=f"^{message}$") as err:
         make()

@@ -76,7 +76,7 @@ class TestCorrelate:
         src = np.full(padded, np.nan, np.float32)
         src[_along(axis, r, r + shape[axis])] = inner
         out = np.empty(shape, np.float32)
-        _correlate(src, kernel, axis, out, np.empty_like(out))
+        _correlate(src, axis, np.empty_like(out), [(kernel, out)])
         want = ndimage.correlate1d(inner.astype(np.float64),
                                    kernel.astype(np.float64), axis,
                                    mode="nearest")
@@ -364,6 +364,17 @@ class TestFlowEstimator:
                 est.push(frames[2])
         got = est.push(frames[1])
         want = pair_flow(frames[0], frames[1])
+        assert got.u.tobytes() == want.u.tobytes()
+        assert got.v.tobytes() == want.v.tobytes()
+
+    def test_serves_the_size_of_its_first_push(self):
+        small = panning_clip(40, 32, frames=2)
+        est = FlowEstimator()
+        est.push(small[0])
+        with pytest.raises(ValueError, match="frames must share dimensions"):
+            est.push(panning_clip(80, 64, frames=1)[0])
+        got = est.push(small[1])
+        want = pair_flow(small[0], small[1])
         assert got.u.tobytes() == want.u.tobytes()
         assert got.v.tobytes() == want.v.tobytes()
 

@@ -29,6 +29,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=r"\[2, 256\]"):
             ModelSpec(prototypes=[(k % 256, 0, 0) for k in range(num_classes)])
 
+    @pytest.mark.parametrize("stride", [2.0, 2.5])
+    def test_feature_stride_integer(self, stride):
+        with pytest.raises(ValueError,
+                           match="^feature_stride must be an integer$"):
+            spec2(stride=stride)
+
     def test_feature_stride_positive(self):
         with pytest.raises(ValueError,
                            match="^feature_stride must be positive$") as err:

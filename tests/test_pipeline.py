@@ -501,21 +501,40 @@ class TestAlphaSweepInputs:
         frames = [s[0] for s in seq]
         gts = [s[1] for s in seq]
         mspec = model_spec_from_scene(spec)
-        cfg = PipelineConfig(num_classes=2)
         for bad_frames, bad_gts in (([], []), (frames, gts[:2]),
                                     (frames, gts + gts[:1])):
             with pytest.raises(ValueError):
-                alpha_sweep(bad_frames, bad_gts, cfg, mspec, alphas=[0.5])
-        assert len(alpha_sweep(frames, gts, cfg, mspec, alphas=[0.5])) == 2
+                alpha_sweep(bad_frames, bad_gts, mspec, lam=2.0,
+                            flow_scale=1.0, alphas=[0.5])
+        assert len(alpha_sweep(frames, gts, mspec, lam=2.0, flow_scale=1.0,
+                               alphas=[0.5])) == 2
+
+    @pytest.mark.parametrize("lam, flow_scale, alphas", [
+        (-1.0, 1.0, [0.5]), (1.0, 0.3, [0.5]), (1.0, 1.0, [0.5, 1.5])],
+        ids=["lambda", "flow-scale", "alpha"])
+    def test_bad_settings_fail_before_any_frame_is_encoded(
+            self, monkeypatch, lam, flow_scale, alphas):
+        spec = moving_scene(frames=3, width=64, height=48)
+        seq = generate(spec)
+        frames, gts = [s[0] for s in seq], [s[1] for s in seq]
+        calls = []
+
+        def counting_encode(*args):
+            calls.append(args)
+            return encode(*args)
+        monkeypatch.setattr(mcma.pipeline, "encode", counting_encode)
+        with pytest.raises(ValueError):
+            alpha_sweep(frames, gts, model_spec_from_scene(spec), lam=lam,
+                        flow_scale=flow_scale, alphas=alphas)
+        assert calls == []
 
 
 class TestAlphaSweepReplay:
-    def test_parallel_config_starts_no_thread(self, monkeypatch):
+    def test_starts_no_thread(self, monkeypatch):
         spec = moving_scene(frames=4, width=64, height=48)
         seq = generate(spec)
         frames, gts = [s[0] for s in seq], [s[1] for s in seq]
         mspec = model_spec_from_scene(spec)
-        cfg = PipelineConfig(alpha=0.5, lam=1.5, flow_scale=0.5)
         # every replayed fuse sees the threads that ran before the sweep
         threads = []
 
@@ -524,7 +543,6 @@ class TestAlphaSweepReplay:
             return ema_fuse(*args)
         monkeypatch.setattr(mcma.pipeline, "ema_fuse", counting_fuse)
         before = threading.active_count()
-        rows = alpha_sweep(frames, gts, parallel_cfg(cfg), mspec,
-                           alphas=[0.3, 0.7])
+        alpha_sweep(frames, gts, mspec, lam=1.5, flow_scale=0.5,
+                    alphas=[0.3, 0.7])
         assert threads and set(threads) == {before}
-        assert rows == alpha_sweep(frames, gts, cfg, mspec, alphas=[0.3, 0.7])

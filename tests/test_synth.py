@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mcma import (SceneObject, SceneSpec, fp_rate, generate,
+from mcma import (Frame, SceneObject, SceneSpec, fp_rate, generate,
                   model_spec_from_scene, motion_in_input_pixels,
                   prototypes_from_scene, save_dataset)
 from mcma.core import read_flow, read_frame, read_mask
@@ -100,7 +100,7 @@ class TestGenerate:
         ("radius", np.nan), ("radius", np.inf),
         # finite, but generate would size a texture tile by the extent
         ("radius", 1e7), ("radius", 1e300), ("radius", 1024.5),
-        ("size", (1e9, 3)), ("size", (4, 2049))])
+        ("size", (1e9, 3)), ("size", (4, 2049)), ("class_id", 1.5)])
     @pytest.mark.parametrize("shape", ["disk", "rectangle"])
     def test_object_rejects_bad_numbers(self, shape, field, value):
         kwargs = dict(shape=shape, class_id=1, color=(200, 60, 60),
@@ -131,10 +131,34 @@ class TestGenerate:
         ("texture_amplitude", np.nan), ("texture_amplitude", np.inf),
         ("texture_amplitude", -1.0), ("global_velocity", (np.nan, 0)),
         ("global_velocity", (0, -np.inf)), ("label_noise_rate", 1.5),
-        ("seed", -1)])
+        ("seed", -1),
+        # integers, not quietly truncated or failed on inside NumPy
+        ("width", 96.0), ("height", 8.0), ("num_classes", 2.5),
+        ("background_class", 0.5), ("noise_class", 1.0), ("frames", 2.5),
+        ("seed", 1.5)])
     def test_scene_rejects_bad_numbers(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} "):
             disk_scene(**{field: value})
+
+    def test_numpy_integers_pass(self):
+        def scene(integer):
+            obj = SceneObject("disk", integer(1), (200, 60, 60), (40, 30),
+                              velocity=(2, 1), radius=12)
+            return disk_scene(objects=[obj], width=integer(96),
+                              height=integer(64), num_classes=integer(2),
+                              background_class=integer(0),
+                              noise_class=integer(1), frames=integer(3),
+                              seed=integer(1))
+        model = model_spec_from_scene(scene(int))
+        model_np = model_spec_from_scene(scene(np.int64),
+                                         feature_stride=np.int64(4))
+        for (frame, mask, _), (want, want_mask, _) in zip(
+                generate(scene(np.int64)), generate(scene(int))):
+            assert np.array_equal(frame.data, want.data)
+            assert np.array_equal(mask.labels, want_mask.labels)
+            frame = Frame(frame.data, index=np.int64(frame.index))
+            assert np.array_equal(encode(frame, model_np).data,
+                                  encode(want, model).data)
 
     @pytest.mark.parametrize("num_classes", [1, 257])
     def test_class_count_fits_uint8_labels(self, num_classes):

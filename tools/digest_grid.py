@@ -111,8 +111,8 @@ def main(argv=None) -> int:
                                              f"{tag}/l{lam}".replace("/", "_")
                                              + ".npy"), warps)
 
-                cfg = PipelineConfig(lam=2.0, flow_scale=scale)
-                rows = alpha_sweep(frames, gts, cfg, spec)
+                rows = alpha_sweep(frames, gts, spec, lam=2.0,
+                                   flow_scale=scale)
                 out[f"sweep/{tag}"] = hashlib.sha256(
                     repr(rows).encode()).hexdigest()
                 for mode in MODES:
