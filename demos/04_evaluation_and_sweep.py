@@ -23,18 +23,20 @@ gts = [s[1] for s in seq]
 flows = [s[2] for s in seq]
 model = model_spec_from_scene(spec)
 
+# alpha = 1 is the per-frame baseline and lambda = 0 the plain EMA
 preds = {}
-for mode in ("baseline", "ema", "mcma"):
-    cfg = PipelineConfig(alpha=0.1, lam=1.0, flow_scale=0.5, mode=mode)
-    preds[mode], _ = run(frames, cfg, model)
+for method, alpha, lam in (("baseline", 1.0, 1.0), ("ema", 0.1, 0.0),
+                           ("mcma", 0.1, 1.0)):
+    cfg = PipelineConfig(alpha=alpha, lam=lam, flow_scale=0.5)
+    preds[method], _ = run(frames, cfg, model)
 
 print("mIoU by motion subset:")
 print(report_csv(evaluate_run(preds, gts, flows, num_classes=2)))
 
 print("false-positive rate on the noisy class:")
-for mode, masks in preds.items():
+for method, masks in preds.items():
     rate = np.mean([fp_rate(p, g, 1) for p, g in zip(masks[5:], gts[5:])])
-    print(f"  {mode:8s} {rate:.4f}")
+    print(f"  {method:8s} {rate:.4f}")
 
 print("\nalpha sweep (gap = mcma - ema):")
 rows = alpha_sweep(frames, gts, model, lam=1.0, flow_scale=0.5,

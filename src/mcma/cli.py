@@ -174,8 +174,7 @@ def cmd_run(args) -> int:
     cfg = PipelineConfig(alpha=args.alpha, lam=getattr(args, "lambda"),
                          flow_scale=args.flow_scale,
                          executor={"seq": "sequential",
-                                   "par": "parallel"}[args.executor],
-                         mode=args.mode)
+                                   "par": "parallel"}[args.executor])
     spec = _model_spec(args, args.frames)
     masks, timings = run(frames, cfg, spec)
     os.makedirs(args.out, exist_ok=True)
@@ -210,8 +209,7 @@ def cmd_bench(args) -> int:
     for scale in FLOW_SCALES:
         for executor in ("sequential", "parallel"):
             cfg = PipelineConfig(alpha=args.alpha, lam=getattr(args, "lambda"),
-                                 flow_scale=scale,
-                                 executor=executor, mode="mcma")
+                                 flow_scale=scale, executor=executor)
             _, timings = run(frames, cfg, spec)
             reports.append(benchmark_report(timings[1:]))
     header, *_ = reports[0].splitlines()
@@ -256,8 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="segment a frame directory")
     p.add_argument("--frames", required=True)
-    p.add_argument("--mode", choices=("baseline", "ema", "mcma"),
-                   default="mcma")
+    # not read, and only "mcma" is accepted: perfbench still passes it
+    p.add_argument("--mode", choices=("mcma",), default="mcma",
+                   help="ignored: --alpha 1 gives the per-frame baseline "
+                        "and --lambda 0 the plain EMA")
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--lambda", type=float, default=2.0)
     p.add_argument("--flow-scale", type=float, choices=FLOW_SCALES,

@@ -143,7 +143,7 @@ FLOW_SCALES = (1.0, 0.5, 0.25)
 
 @dataclass
 class PipelineConfig:
-    """Run-level knobs: EMA weight, flow scaling, executor and mode."""
+    """Run-level knobs: EMA weight, flow weight, flow scaling and executor."""
 
     alpha: float = 0.1
     lam: float = 2.0
@@ -151,6 +151,7 @@ class PipelineConfig:
     # not read: the class count is the channel count of the model's features
     num_classes: int = 2
     executor: str = "sequential"
+    # not read, and only "mcma" is accepted: perfbench still passes it
     mode: str = "mcma"
 
     def __post_init__(self):
@@ -162,8 +163,9 @@ class PipelineConfig:
             raise ValueError("flow_scale must be one of 1, 1/2, 1/4")
         if self.executor not in ("sequential", "parallel"):
             raise ValueError("executor must be 'sequential' or 'parallel'")
-        if self.mode not in ("baseline", "ema", "mcma"):
-            raise ValueError("mode must be baseline, ema or mcma")
+        if self.mode != "mcma":
+            raise ValueError("mode must be 'mcma': alpha = 1 is the baseline "
+                             "and lam = 0 the plain EMA")
 
 
 # ---------------------------------------------------------------------------

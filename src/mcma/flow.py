@@ -115,12 +115,9 @@ def resize_flow(flow: FlowField, target_h: int, target_w: int) -> FlowField:
 # ---------------------------------------------------------------------------
 # Scratch and separable correlation
 
-def _scratch(shape, block=None) -> np.ndarray:
-    """``block`` if it is sized for frames of ``shape``, else a new scratch
-    block for them and their coarser levels."""
-    size = SCRATCH_PLANES * math.prod(shape)
-    fits = block is not None and block.size == size
-    return block if fits else np.empty(size)
+def _scratch(shape) -> np.ndarray:
+    """A scratch block for frames of ``shape`` and their coarser levels."""
+    return np.empty(SCRATCH_PLANES * math.prod(shape))
 
 
 def _carve(scratch: np.ndarray, *specs):
@@ -397,11 +394,10 @@ def estimate_flow(prev: list, curr: Frame, levels: list,
     """Backward flow on the current frame's grid (see module docstring).
 
     ``prev`` and ``levels`` are the ``expand`` outputs of the previous
-    frame and of ``curr``, and ``scratch`` is the estimator's block for
-    ``curr``'s size. ``FlowEstimator.push`` is the only caller.
+    frame and of ``curr``, which share one size, and ``scratch`` is the
+    estimator's block for that size. ``FlowEstimator.push`` is the only
+    caller.
     """
-    if prev[0][0].shape != (curr.height, curr.width):
-        raise ValueError("frames must share dimensions")
     # solve with image1 = current and image2 = previous so the displacement
     # points from the current grid into the previous frame; each level
     # solves in place on a fresh resize of the coarser level's field (of a
@@ -425,7 +421,8 @@ class FlowEstimator:
     fails leaves the estimator as it was.
 
     The estimator also owns one scratch block (see the module docstring),
-    made on the first push for the one frame size it serves. The block
+    made on the first push for the one frame size it serves; a push of
+    another size fails before it is expanded. The block
     carries nothing from one push to the next, so a shallow copy, which
     ``Segmenter`` pushes to, may share it; the kept expansions are state
     and are rebound, never mutated. A block must not serve two pushes at
@@ -438,7 +435,10 @@ class FlowEstimator:
         self._scratch = None
 
     def push(self, frame: Frame) -> FlowField | None:
-        scratch = _scratch((frame.height, frame.width), self._scratch)
+        shape = (frame.height, frame.width)
+        if self._prev is not None and self._prev[0][0].shape != shape:
+            raise ValueError("frames must share dimensions")
+        scratch = _scratch(shape) if self._scratch is None else self._scratch
         levels = expand(frame, scratch)
         flow = (None if self._prev is None
                 else estimate_flow(self._prev, frame, levels, scratch))

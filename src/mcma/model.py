@@ -38,9 +38,9 @@ def _check_class_count(count: int, name: str = "class count") -> None:
 
 @dataclass
 class ModelSpec:
-    """``prototypes[k]`` is the (r, g, b) color of class k, components in
-    0..255. A spec with ``feature_dir`` replays MCFE files instead; give
-    exactly one of them."""
+    """``prototypes[k]`` is the (r, g, b) color of class k, integer
+    components in 0..255. A spec with ``feature_dir`` replays MCFE files
+    instead; give exactly one of them."""
 
     prototypes: Sequence[tuple] = ()
     feature_stride: int = 4
@@ -56,10 +56,11 @@ class ModelSpec:
             _check_class_count(len(self.prototypes))
             if any(len(color) != 3 for color in self.prototypes):
                 raise ValueError("each prototype must be an (r, g, b) color")
-            # encode compares them with uint8 pixels; NaN fails the comparison
-            if not all(0 <= c <= 255 for color in self.prototypes
-                       for c in color):
-                raise ValueError("prototypes must be finite and in 0..255")
+            components = [c for color in self.prototypes for c in color]
+            for c in components:
+                check_integer("prototypes component", c)
+            if not all(0 <= c <= 255 for c in components):
+                raise ValueError("prototypes must be in 0..255")
 
 
 def feature_file_path(feature_dir: str, frame_index: int) -> str:

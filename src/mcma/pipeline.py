@@ -107,13 +107,12 @@ class Segmenter:
     failed frame, a new ``stream`` carries on from the last good frame.
 
     Each frame with a prior is fused as ``ema_fuse(feats, prior, alpha)``,
-    the prior first warped along the flow if the frame has one. The
-    per-frame baseline, ``mode="baseline"``, is this average at alpha = 1,
-    where ``ema_fuse`` returns the current features themselves; and
-    ``mode="ema"``, or mcma at lambda = 0, is the average without flow.
-    Flow is computed only where it is used, for mcma with alpha < 1 and
-    lambda > 0; every other setting runs on the calling thread alone,
-    whatever the executor.
+    the prior first warped along the flow if the frame has one. At
+    alpha = 1 this is the per-frame baseline, as ``ema_fuse`` returns the
+    current features themselves, and at lambda = 0 the plain EMA, the
+    average without flow. Flow is computed only where it is used, at
+    alpha < 1 and lambda > 0; every other setting runs on the calling
+    thread alone, whatever the executor.
     """
 
     def __init__(self, cfg: PipelineConfig, model_spec: ModelSpec, *,
@@ -123,9 +122,7 @@ class Segmenter:
         self._encode = encoder or (lambda frame: encode(frame, model_spec))
         self._flow = flow or FlowEstimator()
         self._decode = lambda fused: decode(fused, model_spec)
-        self._alpha = 1.0 if cfg.mode == "baseline" else cfg.alpha
-        self._needs_flow = (cfg.mode == "mcma" and self._alpha < 1.0
-                            and cfg.lam > 0.0)
+        self._needs_flow = cfg.alpha < 1.0 and cfg.lam > 0.0
         self.state: Optional[FeatureMap] = None
         self._size: Optional[tuple] = None
         self._count = 0
@@ -210,7 +207,7 @@ class Segmenter:
                     stage = "warp"
                     prior, warp_us = _timed(self._warp, prior, flow)
                 stage = "fuse"
-                fused, fuse_us = _timed(ema_fuse, feats, prior, self._alpha)
+                fused, fuse_us = _timed(ema_fuse, feats, prior, self.cfg.alpha)
             stage = "decode"
             mask, decode_us = _timed(self._decode, fused)
         except Exception as exc:
@@ -264,11 +261,12 @@ def alpha_sweep(frames: Sequence[Frame], gts, model_spec: ModelSpec, *,
                 alphas: Optional[Sequence[float]] = None):
     """mIoU of plain EMA vs MCMA at ``lam`` over a grid of smoothing factors.
 
-    Every alpha and ``lam`` is checked before any work. Flow fields (on the
-    ``flow_scale`` grid) and encoder features depend only on the frames, so
-    they are computed once and replayed in order through a fresh Segmenter
-    per alpha and method. ``gts`` holds one mask per frame. Returns rows of
-    (alpha, method, miou) aggregated over the whole sequence.
+    Every alpha and ``lam`` is checked, and empty ``alphas`` refused,
+    before any work. Flow fields (on the ``flow_scale`` grid) and encoder
+    features depend only on the frames, so they are computed once and
+    replayed in order through a fresh Segmenter per alpha and method, the
+    plain EMA at lambda = 0. ``gts`` holds one mask per frame. Returns rows
+    of (alpha, method, miou) aggregated over the whole sequence.
     """
     frames = list(frames)
     if not frames:
@@ -278,8 +276,10 @@ def alpha_sweep(frames: Sequence[Frame], gts, model_spec: ModelSpec, *,
                          f"{len(gts)} for {len(frames)} frames")
     if alphas is None:
         alphas = [round(0.1 + 0.05 * k, 2) for k in range(17)]
-    runs = [PipelineConfig(alpha=a, lam=lam, mode=m)
-            for a in alphas for m in ("ema", "mcma")]
+    runs = [(method, PipelineConfig(alpha=a, lam=run_lam)) for a in alphas
+            for method, run_lam in (("ema", 0.0), ("mcma", lam))]
+    if not runs:
+        raise ValueError("need at least one alpha")
     estimator = FlowEstimator()
     flows = [estimator.push(downscale_frame(f, flow_scale)) for f in frames]
     feats = [encode(f, model_spec) for f in frames]
@@ -287,15 +287,14 @@ def alpha_sweep(frames: Sequence[Frame], gts, model_spec: ModelSpec, *,
 
     # the replayed sources ignore the frames, which flow scale 1 passes as is
     rows = []
-    for cfg in runs:
+    for method, cfg in runs:
         replay_feats, replay_flows = iter(feats), iter(flows)
         seg = Segmenter(cfg, model_spec,
                         encoder=lambda _: next(replay_feats),
                         flow=SimpleNamespace(
                             push=lambda _: next(replay_flows)))
         masks = (mask for mask, _ in seg.stream(frames))
-        rows.append((cfg.alpha, cfg.mode,
-                     pooled_miou(masks, gts, num_classes)))
+        rows.append((cfg.alpha, method, pooled_miou(masks, gts, num_classes)))
     return rows
 
 

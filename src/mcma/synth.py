@@ -43,6 +43,8 @@ def _check_finite(name: str, *values: float) -> None:
 
 
 def _check_color(name: str, color) -> None:
+    for c in color:
+        check_integer(f"{name} component", c)
     if len(color) != 3 or not all(0 <= c <= 255 for c in color):
         raise ValueError(f"{name} must be three values in 0..255")
 

@@ -36,7 +36,19 @@ def moving_scene(frames, width, height, seed, velocity, rate=0.0, radius=None):
 
 
 def masks_equal(a, b):
-    return all(np.array_equal(x.labels, y.labels) for x, y in zip(a, b))
+    return len(a) == len(b) and all(np.array_equal(x.labels, y.labels)
+                                    for x, y in zip(a, b))
+
+
+def ema_oracle(frames, mspec, alpha):
+    """The plain EMA by hand: ``ema_fuse`` of each frame's features with
+    the fused features before them, decoded."""
+    fused, masks = None, []
+    for frame in frames:
+        feats = encode(frame, mspec)
+        fused = feats if fused is None else ema_fuse(feats, fused, alpha)
+        masks.append(decode(fused, mspec))
+    return masks
 
 
 def test_criterion_1_degeneracy_suite():
@@ -46,15 +58,16 @@ def test_criterion_1_degeneracy_suite():
     frames = [s[0] for s in generate(spec)]
     mspec = model_spec_from_scene(spec)
 
-    def masks(alpha, mode, lam=2.0):
+    def masks(alpha, lam=2.0):
         cfg = PipelineConfig(alpha=alpha, lam=lam, flow_scale=0.25,
-                             num_classes=2, mode=mode)
+                             num_classes=2)
         return run(frames, cfg, mspec)[0]
 
-    # alpha = 1 keeps no history: identical to per-frame baseline
-    a1 = masks_equal(masks(1.0, "mcma"), masks(1.0, "baseline"))
+    # alpha = 1 keeps no history: identical to the per-frame baseline
+    a1 = masks_equal(masks(1.0),
+                     [decode(encode(f, mspec), mspec) for f in frames])
     # lambda = 0 disables the motion correction: identical to plain EMA
-    l0 = masks_equal(masks(0.2, "mcma", lam=0.0), masks(0.2, "ema"))
+    l0 = masks_equal(masks(0.2, lam=0.0), ema_oracle(frames, mspec, 0.2))
 
     # a static sequence has exactly zero estimated flow, so warping is the
     # identity and the motion-corrected average equals the plain one
@@ -62,12 +75,9 @@ def test_criterion_1_degeneracy_suite():
                           velocity=(0, 0), radius=40)
     sframes = [s[0] for s in generate(static)]
     smspec = model_spec_from_scene(static)
-    cfg_m = PipelineConfig(alpha=0.2, flow_scale=0.25, num_classes=2,
-                           mode="mcma")
-    cfg_e = PipelineConfig(alpha=0.2, flow_scale=0.25, num_classes=2,
-                           mode="ema")
+    cfg_m = PipelineConfig(alpha=0.2, flow_scale=0.25, num_classes=2)
     st = masks_equal(run(sframes, cfg_m, smspec)[0],
-                     run(sframes, cfg_e, smspec)[0])
+                     ema_oracle(sframes, smspec, 0.2))
 
     elapsed = time.monotonic() - start
     report("1 (degenerate settings reduce to baseline/EMA, bit-exact, "
@@ -206,11 +216,11 @@ def test_criterion_4_alignment_end_to_end():
         flows.extend(s[2] for s in sq)
         specs.append(model_spec_from_scene(sc))
 
-    def run_all(mode, lam):
+    def run_all(lam):
         preds = []
         for frames, ms in zip(frames_by_scene, specs):
             cfg = PipelineConfig(alpha=alpha, lam=lam, flow_scale=0.5,
-                                 num_classes=2, mode=mode)
+                                 num_classes=2)
             preds.extend(run(frames, cfg, ms)[0])
         return preds
 
@@ -218,8 +228,8 @@ def test_criterion_4_alignment_end_to_end():
         rows = evaluate_run({"m": preds}, gts, flows, 2)
         return {subset: val for _, subset, val in rows}["high20"]
 
-    ema_score = high20(run_all("ema", 2.0))
-    mcma_score = max(high20(run_all("mcma", lam))
+    ema_score = high20(run_all(0.0))
+    mcma_score = max(high20(run_all(lam))
                      for lam in (1.0, 1.5, 2.0))
     gap = mcma_score - ema_score
     report("4 (oracle-flow alignment exact; estimated-flow high-motion "
@@ -237,16 +247,16 @@ def test_criterion_5_false_positive_suppression():
     mspec = model_spec_from_scene(spec)
     skip = 5  # let the moving averages reach steady state
 
-    def mean_fp(mode):
-        cfg = PipelineConfig(alpha=0.1, lam=1.0, flow_scale=0.5,
-                             num_classes=2, mode=mode)
+    def mean_fp(**settings):
+        cfg = PipelineConfig(**{"alpha": 0.1, "lam": 1.0, "flow_scale": 0.5,
+                                "num_classes": 2, **settings})
         preds = run(frames, cfg, mspec)[0]
         return float(np.mean([fp_rate(p, g, 1)
                               for p, g in zip(preds[skip:], gts[skip:])]))
 
-    fp_base = mean_fp("baseline")
-    fp_ema = mean_fp("ema")
-    fp_mcma = mean_fp("mcma")
+    fp_base = mean_fp(alpha=1.0)
+    fp_ema = mean_fp(lam=0.0)
+    fp_mcma = mean_fp()
     report(f"5 (noisy-class FP rate: mcma {fp_mcma:.4f} < ema {fp_ema:.4f} "
            f"< baseline {fp_base:.4f})",
            fp_mcma < fp_ema < fp_base and fp_base > 0.0)
@@ -294,7 +304,7 @@ def test_criterion_7_runtime_structure():
             for i in range(8)]
     tiny_spec = ModelSpec(prototypes=[(90, 90, 90), (0, 0, 0)],
                           feature_stride=4)
-    dcfg = PipelineConfig(alpha=0.2, num_classes=2, mode="mcma")
+    dcfg = PipelineConfig(alpha=0.2, num_classes=2)
     delay = 0.010
 
     def delayed(executor):

@@ -57,7 +57,9 @@ def test_traced_run_reaches_every_hook(tracing):
                     index=i) for i in range(3)]
     spec = ModelSpec(prototypes=[(0, 0, 0), (255, 255, 255)],
                      feature_stride=4)
-    cfg = PipelineConfig(alpha=0.5, lam=1.0, flow_scale=0.5, mode="mcma")
+    # perfbench's keywords, num_classes and mode among them
+    cfg = PipelineConfig(alpha=0.5, lam=1.0, flow_scale=0.5, num_classes=2,
+                         executor="sequential", mode="mcma")
     tracer = tracing.Tracer(mcma)
     tracer.install()
     try:

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 import mcma
-from mcma import (FeatureMap, SceneSpec, model_spec_from_scene,
-                  write_features)
+from mcma import (FeatureMap, SceneSpec, model_spec_from_scene, read_mask,
+                  write_features, write_mask)
 from mcma.cli import load_frames, main, parse_scene_config
-from mcma.model import encode, feature_file_path
+from mcma.model import decode, encode, feature_file_path
 
 SCENE = """
 # moving disk over textured background
@@ -41,6 +41,13 @@ def dataset(tmp_path):
     out = tmp_path / "data"
     assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
     return out
+
+
+def per_frame_baseline(dataset):
+    """``decode(encode(frame))`` of each frame of ``dataset``, SCENE's."""
+    spec = model_spec_from_scene(parse_scene_config(SCENE))
+    return [decode(encode(frame, spec), spec)
+            for frame in load_frames(dataset / "frames")]
 
 
 class TestParseSceneConfig:
@@ -185,24 +192,30 @@ class TestGenerate:
 
 class TestRun:
     def test_alpha_one_equals_baseline(self, dataset, tmp_path):
-        out_a = tmp_path / "mcma_a1"
-        out_b = tmp_path / "baseline"
+        out = tmp_path / "alpha1"
         assert main(["run", "--frames", str(dataset / "frames"),
-                     "--mode", "mcma", "--alpha", "1.0",
-                     "--flow-scale", "0.5", "--out", str(out_a)]) == 0
-        assert main(["run", "--frames", str(dataset / "frames"),
-                     "--mode", "baseline", "--out", str(out_b)]) == 0
-        for fname in sorted(os.listdir(out_a)):
-            if fname.endswith(".pgm"):
-                assert (out_a / fname).read_bytes() == \
-                    (out_b / fname).read_bytes()
-        assert (out_a / "timings.csv").exists()
+                     "--alpha", "1.0", "--flow-scale", "0.5",
+                     "--out", str(out)]) == 0
+        want = per_frame_baseline(dataset)
+        got = sorted(out.glob("*.pgm"))
+        assert len(got) == len(want) == 12
+        for path, mask in zip(got, want):
+            assert np.array_equal(read_mask(path).labels, mask.labels)
+        assert (out / "timings.csv").exists()
+
+    @pytest.mark.parametrize("mode", ["baseline", "ema"])
+    def test_mode_accepts_only_mcma(self, dataset, tmp_path, mode):
+        # --mode is kept, unread, for perfbench's "mcma" alone
+        with pytest.raises(SystemExit) as err:
+            main(["run", "--frames", str(dataset / "frames"), "--mode", mode,
+                  "--out", str(tmp_path / "out")])
+        assert err.value.code == 2
 
     def test_parallel_executor_matches(self, dataset, tmp_path):
         out_s = tmp_path / "seq"
         out_p = tmp_path / "par"
-        common = ["run", "--frames", str(dataset / "frames"), "--mode",
-                  "mcma", "--alpha", "0.2", "--flow-scale", "0.5"]
+        common = ["run", "--frames", str(dataset / "frames"),
+                  "--alpha", "0.2", "--flow-scale", "0.5"]
         assert main(common + ["--executor", "seq", "--out", str(out_s)]) == 0
         assert main(common + ["--executor", "par", "--out", str(out_p)]) == 0
         for fname in sorted(out_s.glob("*.pgm")):
@@ -216,8 +229,8 @@ class TestRun:
         for frame in load_frames(dataset / "frames"):
             write_features(encode(frame, spec),
                            feature_file_path(feature_dir, frame.index))
-        common = ["run", "--frames", str(dataset / "frames"), "--mode",
-                  "mcma", "--alpha", "0.2", "--flow-scale", "0.5"]
+        common = ["run", "--frames", str(dataset / "frames"),
+                  "--alpha", "0.2", "--flow-scale", "0.5"]
         out_r = tmp_path / "reference"
         out_f = tmp_path / "files"
         assert main(common + ["--out", str(out_r)]) == 0
@@ -305,14 +318,13 @@ class TestRun:
 
 class TestEvalAndSweep:
     def test_eval_baseline_rows_match_alpha_one(self, dataset, tmp_path):
-        runs = {}
-        for name, mode, alpha in [("a", "mcma", "1.0"),
-                                  ("b", "baseline", "0.5")]:
-            out = tmp_path / name
-            assert main(["run", "--frames", str(dataset / "frames"),
-                         "--mode", mode, "--alpha", alpha,
-                         "--flow-scale", "0.5", "--out", str(out)]) == 0
-            runs[name] = out
+        runs = {"a": tmp_path / "a", "b": tmp_path / "b"}
+        assert main(["run", "--frames", str(dataset / "frames"),
+                     "--alpha", "1.0", "--flow-scale", "0.5",
+                     "--out", str(runs["a"])]) == 0
+        runs["b"].mkdir()
+        for j, mask in enumerate(per_frame_baseline(dataset)):
+            write_mask(mask, runs["b"] / f"{j:06d}.pgm")
         csv_path = tmp_path / "table.csv"
         # the disk moves at constant velocity, so every frame sits on both
         # motion-quantile boundaries
@@ -463,18 +475,20 @@ class TestStartUp:
                                    "--out", str(tmp_path / "data")]) == (
             False, False)
 
-    @pytest.mark.parametrize("mode", ["baseline", "ema"])
-    def test_run_without_flow_leaves_scipy_out(self, dataset, tmp_path, mode):
+    @pytest.mark.parametrize("settings", [
+        ["--alpha", "1.0", "--lambda", "1.0"],
+        ["--alpha", "0.5", "--lambda", "0"]], ids=["baseline", "ema"])
+    def test_run_without_flow_leaves_scipy_out(self, dataset, tmp_path,
+                                               settings):
         assert scipy_loaded_after(["run", "--frames", str(dataset / "frames"),
-                                   "--mode", mode, "--alpha", "0.5",
-                                   "--lambda", "1.0",
+                                   *settings,
                                    "--out", str(tmp_path / "out")]) == (
             False, False)
 
     def test_eval_leaves_scipy_out(self, dataset, tmp_path):
         out = tmp_path / "out"
         assert main(["run", "--frames", str(dataset / "frames"),
-                     "--mode", "baseline", "--out", str(out)]) == 0
+                     "--alpha", "1.0", "--out", str(out)]) == 0
         assert scipy_loaded_after(["eval", "--pred", f"baseline={out}",
                                    "--gt", str(dataset / "masks"),
                                    "--flows", str(dataset / "flow"),
@@ -484,7 +498,7 @@ class TestStartUp:
 
     def test_flow_solve_loads_scipy_ndimage(self, dataset, tmp_path):
         assert scipy_loaded_after(["run", "--frames", str(dataset / "frames"),
-                                   "--mode", "mcma", "--alpha", "0.5",
+                                   "--alpha", "0.5",
                                    "--lambda", "1.0", "--flow-scale", "0.5",
                                    "--out", str(tmp_path / "out")]) == (
             True, True)

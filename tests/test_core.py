@@ -357,3 +357,10 @@ class TestPipelineConfig:
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
             PipelineConfig(**kwargs)
+
+    @pytest.mark.parametrize("mode", ["baseline", "ema"])
+    def test_mode_names_alpha_and_lambda(self, mode):
+        # mode is kept, unread, for perfbench's "mcma" alone
+        with pytest.raises(ValueError, match="alpha = 1 is the baseline "
+                                             "and lam = 0 the plain EMA"):
+            PipelineConfig(mode=mode)

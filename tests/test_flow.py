@@ -367,12 +367,23 @@ class TestFlowEstimator:
         assert got.u.tobytes() == want.u.tobytes()
         assert got.v.tobytes() == want.v.tobytes()
 
-    def test_serves_the_size_of_its_first_push(self):
+    def test_serves_the_size_of_its_first_push(self, monkeypatch):
         small = panning_clip(40, 32, frames=2)
         est = FlowEstimator()
         est.push(small[0])
-        with pytest.raises(ValueError, match="frames must share dimensions"):
-            est.push(panning_clip(80, 64, frames=1)[0])
+        # the other size is refused before any of its levels is expanded
+        calls = []
+
+        def counting_expansion(*args):
+            calls.append(args)
+            return polynomial_expansion(*args)
+        with monkeypatch.context() as patch:
+            patch.setattr(mcma.flow, "polynomial_expansion",
+                          counting_expansion)
+            with pytest.raises(ValueError,
+                               match="frames must share dimensions"):
+                est.push(panning_clip(80, 64, frames=1)[0])
+        assert calls == []
         got = est.push(small[1])
         want = pair_flow(small[0], small[1])
         assert got.u.tobytes() == want.u.tobytes()

@@ -47,7 +47,8 @@ class TestSpecValidation:
             ModelSpec(prototypes=[(9, 9, 9), color])
 
     @pytest.mark.parametrize("color", [(0, 0, np.nan), (np.inf, 0, 0),
-                                       (0, -1, 0), (0, 0, 256)])
+                                       (0, -1, 0), (0, 0, 256),
+                                       (0.5, 0, 0), (0, 0, 255.0)])
     def test_prototypes_are_finite_colors(self, color):
         # rejected here rather than blamed on the first frame's encode
         with pytest.raises(ValueError, match="^prototypes "):

@@ -20,6 +20,12 @@ from mcma.pipeline import PipelineError, StageTiming, timings_csv
 from conftest import flow_encode_overlap, pair_flow, slow_sources
 
 
+# the per-frame baseline, the plain EMA and mcma, as overrides of a run's
+# alpha and lambda
+SETTINGS = [dict(alpha=1.0), dict(lam=0.0), dict()]
+SETTINGS_IDS = ["baseline", "ema", "mcma"]
+
+
 def moving_scene(frames=20, width=128, height=96, seed=2, velocity=(3, 1)):
     return SceneSpec(width=width, height=height, num_classes=2, frames=frames,
                      seed=seed,
@@ -93,7 +99,7 @@ class TestRunSequential:
                              "disk", 1, (200, 60, 60), (20, 24),
                              velocity=(1, 0), radius=8)])
         seq = generate(spec)
-        cfg = PipelineConfig(alpha=0.2, num_classes=2, mode="ema")
+        cfg = PipelineConfig(alpha=0.2, lam=0.0, num_classes=2)
         masks, timings = run([s[0] for s in seq], cfg,
                              model_spec_from_scene(spec))
         assert len(masks) == 100 and len(timings) == 100
@@ -106,14 +112,16 @@ class TestRunSequential:
             run(frames, cfg, tiny_model())
         assert err.value.frame_index == 2
 
-    @pytest.mark.parametrize("mode", ["baseline", "ema", "mcma"])
-    def test_feature_channel_change_fails_with_index(self, tmp_path, mode):
+    @pytest.mark.parametrize("settings", SETTINGS, ids=SETTINGS_IDS)
+    def test_feature_channel_change_fails_with_index(self, tmp_path,
+                                                     settings):
         for j, channels in enumerate((2, 2, 3)):
             write_features(FeatureMap(np.zeros((channels, 4, 4), np.float32)),
                            feature_file_path(tmp_path, j))
         mspec = ModelSpec(feature_dir=str(tmp_path))
         with pytest.raises(PipelineError) as err:
-            run(tiny_frames(3), PipelineConfig(alpha=0.5, mode=mode), mspec)
+            run(tiny_frames(3), PipelineConfig(**{"alpha": 0.5, **settings}),
+                mspec)
         assert err.value.frame_index == 2
 
     def test_empty_rejected(self):
@@ -138,13 +146,13 @@ class TestRunParallel:
 
     @pytest.mark.parametrize("stride", [2, 4, 8])
     @pytest.mark.parametrize("flow_scale", [1.0, 0.5, 0.25])
-    @pytest.mark.parametrize("mode", ["baseline", "ema", "mcma"])
-    def test_equal_to_sequential_over_grid(self, mode, flow_scale, stride):
+    @pytest.mark.parametrize("settings", SETTINGS, ids=SETTINGS_IDS)
+    def test_equal_to_sequential_over_grid(self, settings, flow_scale, stride):
         spec = moving_scene(frames=5, width=64, height=48, seed=9)
         frames = [s[0] for s in generate(spec)]
         mspec = model_spec_from_scene(spec, feature_stride=stride)
-        cfg = PipelineConfig(alpha=0.3, lam=1.5, flow_scale=flow_scale,
-                             mode=mode)
+        cfg = PipelineConfig(**{"alpha": 0.3, "lam": 1.5,
+                                "flow_scale": flow_scale, **settings})
         masks = {}
         for config in (cfg, parallel_cfg(cfg)):
             got, timings = run(frames, config, mspec)
@@ -160,7 +168,7 @@ class TestRunParallel:
                         index=i) for i in range(5)]
         spec = ModelSpec(prototypes=[(90, 90, 90), (200, 60, 60)],
                          feature_stride=8)
-        cfg = PipelineConfig(alpha=0.3, lam=1.0, mode="mcma")
+        cfg = PipelineConfig(alpha=0.3, lam=1.0)
         masks = {}
         for config in (cfg, parallel_cfg(cfg)):
             got, _ = run(frames, config, spec)
@@ -191,8 +199,7 @@ class TestRunParallel:
         spec = moving_scene(frames=10)
         seq = generate(spec)
         mspec = model_spec_from_scene(spec)
-        cfg = PipelineConfig(alpha=1.0, num_classes=2, mode="baseline",
-                             executor="parallel")
+        cfg = PipelineConfig(alpha=1.0, num_classes=2, executor="parallel")
         masks, _ = run([s[0] for s in seq], cfg, mspec)
         for (frame, _, _), mask in zip(seq, masks):
             baseline = decode(encode(frame, mspec), mspec)
@@ -230,7 +237,7 @@ class TestRunParallel:
     def test_injected_delay_scheduling(self, monkeypatch):
         # flow and encode each sleep 10 ms: the parallel schedule runs frame
         # t+1's flow beside frame t's encode, the sequential one pays for both
-        cfg = PipelineConfig(alpha=0.5, num_classes=2, mode="mcma")
+        cfg = PipelineConfig(alpha=0.5, num_classes=2)
         mspec = tiny_model()
         delay = 0.010
 
@@ -290,8 +297,7 @@ class TestRunParallel:
 
     def test_stage_failure_reports_frame(self, tmp_path):
         mspec = ModelSpec(feature_dir=str(tmp_path))
-        cfg = PipelineConfig(alpha=0.5, num_classes=2, mode="baseline",
-                             executor="parallel")
+        cfg = PipelineConfig(alpha=1.0, num_classes=2, executor="parallel")
         with pytest.raises(PipelineError) as err:
             run(tiny_frames(2), cfg, mspec)
         assert err.value.frame_index == 0
@@ -350,9 +356,7 @@ class TestWorkerLifetime:
         abandon()
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("settings", [
-        dict(alpha=1.0), dict(lam=0.0), dict(mode="ema"),
-        dict(mode="baseline")])
+    @pytest.mark.parametrize("settings", [dict(alpha=1.0), dict(lam=0.0)])
     def test_settings_without_flow_start_no_thread(self, settings):
         cfg = PipelineConfig(**{"alpha": 0.5, "executor": "parallel",
                                 **settings})
@@ -417,17 +421,14 @@ class TestSegmenter:
                             flow=CountingFlow())
             return [m for m, _ in seg.stream(frames)]
 
-        masks(alpha=1.0, mode="mcma")
-        masks(alpha=0.3, lam=0.0, mode="mcma")
-        masks(alpha=0.3, lam=1.0, mode="ema")
-        masks(alpha=0.3, lam=1.0, mode="baseline")
+        masks(alpha=1.0, lam=1.0)
+        masks(alpha=0.3, lam=0.0)
         assert calls == []
-        masks(alpha=0.3, lam=1.0, mode="mcma")
+        masks(alpha=0.3, lam=1.0)
         assert calls == [f.index for f in frames[1:]]
 
-        # baseline stays the per-frame baseline at lambda = 0
-        for frame, mask in zip(frames, masks(alpha=0.3, lam=0.0,
-                                             mode="baseline")):
+        # alpha = 1 stays the per-frame baseline at lambda = 0
+        for frame, mask in zip(frames, masks(alpha=1.0, lam=0.0)):
             baseline = decode(encode(frame, mspec), mspec)
             assert np.array_equal(mask.labels, baseline.labels)
 
@@ -510,8 +511,8 @@ class TestAlphaSweepInputs:
                                alphas=[0.5])) == 2
 
     @pytest.mark.parametrize("lam, flow_scale, alphas", [
-        (-1.0, 1.0, [0.5]), (1.0, 0.3, [0.5]), (1.0, 1.0, [0.5, 1.5])],
-        ids=["lambda", "flow-scale", "alpha"])
+        (-1.0, 1.0, [0.5]), (1.0, 0.3, [0.5]), (1.0, 1.0, [0.5, 1.5]),
+        (1.0, 1.0, [])], ids=["lambda", "flow-scale", "alpha", "no-alpha"])
     def test_bad_settings_fail_before_any_frame_is_encoded(
             self, monkeypatch, lam, flow_scale, alphas):
         spec = moving_scene(frames=3, width=64, height=48)

@@ -100,7 +100,8 @@ class TestGenerate:
         ("radius", np.nan), ("radius", np.inf),
         # finite, but generate would size a texture tile by the extent
         ("radius", 1e7), ("radius", 1e300), ("radius", 1024.5),
-        ("size", (1e9, 3)), ("size", (4, 2049)), ("class_id", 1.5)])
+        ("size", (1e9, 3)), ("size", (4, 2049)), ("class_id", 1.5),
+        ("color", (200.5, 60, 60))])
     @pytest.mark.parametrize("shape", ["disk", "rectangle"])
     def test_object_rejects_bad_numbers(self, shape, field, value):
         kwargs = dict(shape=shape, class_id=1, color=(200, 60, 60),
@@ -135,18 +136,21 @@ class TestGenerate:
         # integers, not quietly truncated or failed on inside NumPy
         ("width", 96.0), ("height", 8.0), ("num_classes", 2.5),
         ("background_class", 0.5), ("noise_class", 1.0), ("frames", 2.5),
-        ("seed", 1.5)])
+        ("seed", 1.5), ("background_color", (40.7, 110, 40))])
     def test_scene_rejects_bad_numbers(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} "):
             disk_scene(**{field: value})
 
     def test_numpy_integers_pass(self):
         def scene(integer):
-            obj = SceneObject("disk", integer(1), (200, 60, 60), (40, 30),
+            obj = SceneObject("disk", integer(1),
+                              tuple(map(integer, (200, 60, 60))), (40, 30),
                               velocity=(2, 1), radius=12)
             return disk_scene(objects=[obj], width=integer(96),
                               height=integer(64), num_classes=integer(2),
                               background_class=integer(0),
+                              background_color=tuple(
+                                  map(integer, (40, 110, 40))),
                               noise_class=integer(1), frames=integer(3),
                               seed=integer(1))
         model = model_spec_from_scene(scene(int))

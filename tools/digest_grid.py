@@ -10,11 +10,12 @@ classes, 6 frames):
 
   generate/c<classes>/<frames|masks|flows>   ``generate`` output bytes
   run/<mode>/<executor>/f<flow scale>/s<stride>/c<classes>/a<alpha>_l<lam>
-      the masks of one ``run``, for modes baseline/ema/mcma, both
-      executors, flow scales 1, 1/2, 1/4, strides 2, 4, 8 and three
-      (alpha, lambda) pairs; entries that differ only in the executor
-      must be equal, and the script exits 1 after printing, naming each
-      pair that is not
+      the masks of one ``run``, for both executors, flow scales 1, 1/2,
+      1/4, strides 2, 4, 8 and three (alpha, lambda) pairs, each run as
+      mcma, as the per-frame baseline (alpha replaced by 1) and as the
+      plain EMA (lambda replaced by 0); the key keeps the pair as given.
+      Entries that differ only in the executor must be equal, and the
+      script exits 1 after printing, naming each pair that is not
   sweep/f<flow scale>/s<stride>/c<classes>   ``alpha_sweep`` rows
   flow/f<flow scale>/c<classes>              ``FlowEstimator`` flows
   resize/f<flow scale>/s<stride>/c<classes>  those flows on the feature grid
@@ -41,7 +42,8 @@ from mcma import (FlowEstimator, PipelineConfig, SceneObject, SceneSpec,
                   model_spec_from_scene, resize_flow, run, warp_features)
 from mcma.core import FLOW_SCALES
 
-MODES = ("baseline", "ema", "mcma")
+# each mode's override of the (alpha, lambda) pair
+MODES = {"baseline": {"alpha": 1.0}, "ema": {"lam": 0.0}, "mcma": {}}
 EXECUTORS = ("sequential", "parallel")
 STRIDES = (2, 4, 8)
 PAIRS = ((0.2, 1.0), (1.0, 2.0), (0.3, 0.0))
@@ -115,12 +117,13 @@ def main(argv=None) -> int:
                                    flow_scale=scale)
                 out[f"sweep/{tag}"] = hashlib.sha256(
                     repr(rows).encode()).hexdigest()
-                for mode in MODES:
+                for mode, override in MODES.items():
                     for executor in EXECUTORS:
                         for alpha, lam in PAIRS:
-                            cfg = PipelineConfig(alpha=alpha, lam=lam,
-                                                 flow_scale=scale,
-                                                 executor=executor, mode=mode)
+                            cfg = PipelineConfig(**{
+                                "alpha": alpha, "lam": lam,
+                                "flow_scale": scale, "executor": executor,
+                                **override})
                             masks, _ = run(frames, cfg, spec)
                             out[f"run/{mode}/{executor}/{tag}/"
                                 f"a{alpha}_l{lam}"] = digest(
