@@ -155,7 +155,8 @@ def _add_model_args(p):
                                    "model (default: <frames>/../scene.cfg)")
     p.add_argument("--features", help="MCFE directory for feature-files mode "
                                       "(class count = channel count)")
-    p.add_argument("--stride", type=int, default=4, help="feature stride")
+    p.add_argument("--stride", type=int, default=ModelSpec.feature_stride,
+                   help="feature stride")
 
 
 def cmd_generate(args) -> int:
@@ -241,6 +242,10 @@ def cmd_eval(args) -> int:
     return 0
 
 
+_LAMBDA_HELP = ("flow weight: 1 warps the state along the flow, 0 gives the "
+                "plain EMA (default: %(default)s)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mcma",
@@ -258,10 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("mcma",), default="mcma",
                    help="ignored: --alpha 1 gives the per-frame baseline "
                         "and --lambda 0 the plain EMA")
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--lambda", type=float, default=2.0)
+    p.add_argument("--alpha", type=float, default=PipelineConfig.alpha)
+    p.add_argument("--lambda", type=float, default=PipelineConfig.lam,
+                   help=_LAMBDA_HELP)
     p.add_argument("--flow-scale", type=float, choices=FLOW_SCALES,
-                   default=1.0)
+                   default=PipelineConfig.flow_scale)
     p.add_argument("--executor", choices=("seq", "par"), default="seq")
     p.add_argument("--out", required=True)
     _add_model_args(p)
@@ -270,17 +276,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="mIoU of EMA vs MCMA over an alpha grid")
     p.add_argument("--frames", required=True)
     p.add_argument("--gt", required=True)
-    p.add_argument("--lambda", type=float, default=2.0)
+    p.add_argument("--lambda", type=float, default=PipelineConfig.lam,
+                   help=_LAMBDA_HELP)
     p.add_argument("--flow-scale", type=float, choices=FLOW_SCALES,
-                   default=1.0)
+                   default=PipelineConfig.flow_scale)
     p.add_argument("--out", required=True)
     _add_model_args(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bench", help="timing study over scales and executors")
     p.add_argument("--frames", required=True)
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--lambda", type=float, default=2.0)
+    p.add_argument("--alpha", type=float, default=PipelineConfig.alpha)
+    p.add_argument("--lambda", type=float, default=PipelineConfig.lam,
+                   help=_LAMBDA_HELP)
     p.add_argument("--out", required=True)
     _add_model_args(p)
     p.set_defaults(func=cmd_bench)

@@ -1,4 +1,5 @@
-"""Core containers and binary file formats shared by all pipeline stages.
+"""Core containers, input rules and binary file formats shared by all
+pipeline stages.
 
 Images travel as binary PPM (P6) / PGM (P5) with maxval 255. Flow fields and
 feature maps use the fixed little-endian "MCFL" / "MCFE" formats so files are
@@ -22,9 +23,25 @@ class FormatError(ValueError):
 
 
 def check_integer(name: str, value) -> None:
-    """Reject a ``value`` that is not a Python or NumPy integer."""
-    if not isinstance(value, (int, np.integer)):
+    """Reject a bool or a ``value`` that is not a Python or NumPy integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer")
+
+
+def check_class_count(count: int, name: str = "class count") -> None:
+    if not 2 <= count <= 256:
+        # labels are uint8
+        raise ValueError(f"{name} must be in [2, 256], got {count}")
+
+
+def check_color(name: str, color) -> None:
+    """Reject a ``color`` that is not three integers (r, g, b) in 0..255."""
+    if len(color) != 3:
+        raise ValueError(f"{name} must be an (r, g, b) color")
+    for c in color:
+        check_integer(f"{name} component", c)
+        if not 0 <= c <= 255:
+            raise ValueError(f"{name} must be in 0..255")
 
 
 @dataclass(frozen=True)
@@ -141,12 +158,12 @@ class SegmentationMask:
 FLOW_SCALES = (1.0, 0.5, 0.25)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     """Run-level knobs: EMA weight, flow weight, flow scaling and executor."""
 
     alpha: float = 0.1
-    lam: float = 2.0
+    lam: float = 1.0
     flow_scale: float = 1.0
     # not read: the class count is the channel count of the model's features
     num_classes: int = 2

@@ -14,8 +14,7 @@ from typing import Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import FlowField, SegmentationMask
-from .model import _check_class_count
+from .core import FlowField, SegmentationMask, check_class_count
 
 SUBSETS = ("all", "low20", "mid60", "high20")
 # the fewest samples the motion-quantile split takes
@@ -131,7 +130,7 @@ def evaluate_run(preds_by_method: Mapping[str, Sequence],
     (method, subset, miou). With video_ids, quantiles are computed per video;
     without them, the run is one video.
     """
-    _check_class_count(num_classes, "num_classes")
+    check_class_count(num_classes, "num_classes")
     n = len(gts)
     if n == 0:
         raise ValueError("need at least one labeled frame")

@@ -21,8 +21,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (FeatureMap, Frame, SegmentationMask, check_integer,
-                   read_features)
+from .core import (FeatureMap, Frame, SegmentationMask, check_class_count,
+                   check_color, check_integer, read_features)
 from .resample import area_mean, gather, half_pixel
 
 _FLT_MAX = float(np.finfo(np.float32).max)
@@ -30,13 +30,7 @@ _FLT_MAX = float(np.finfo(np.float32).max)
 _CHUNK = 1 << 18
 
 
-def _check_class_count(count: int, name: str = "class count") -> None:
-    if not 2 <= count <= 256:
-        # labels are uint8
-        raise ValueError(f"{name} must be in [2, 256], got {count}")
-
-
-@dataclass
+@dataclass(frozen=True)
 class ModelSpec:
     """``prototypes[k]`` is the (r, g, b) color of class k, integer
     components in 0..255. A spec with ``feature_dir`` replays MCFE files
@@ -53,14 +47,9 @@ class ModelSpec:
         if (self.feature_dir is None) == (len(self.prototypes) == 0):
             raise ValueError("give either prototypes or feature_dir")
         if self.feature_dir is None:
-            _check_class_count(len(self.prototypes))
-            if any(len(color) != 3 for color in self.prototypes):
-                raise ValueError("each prototype must be an (r, g, b) color")
-            components = [c for color in self.prototypes for c in color]
-            for c in components:
-                check_integer("prototypes component", c)
-            if not all(0 <= c <= 255 for c in components):
-                raise ValueError("prototypes must be in 0..255")
+            check_class_count(len(self.prototypes))
+            for color in self.prototypes:
+                check_color("prototypes", color)
 
 
 def feature_file_path(feature_dir: str, frame_index: int) -> str:
@@ -133,7 +122,7 @@ def decode(features: FeatureMap, spec: ModelSpec) -> SegmentationMask:
     finite. The column stage subtracts rows that can exceed M by a
     rounding, so if M > FLT_MAX / 4, every block is a boundary block.
     """
-    _check_class_count(features.channels)
+    check_class_count(features.channels)
     data = features.data
     label, top, second = _top_two(data)
     stride = spec.feature_stride

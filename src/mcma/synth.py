@@ -26,9 +26,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import (FlowField, Frame, SegmentationMask, check_integer,
-                   write_flow, write_frame, write_mask)
-from .model import ModelSpec, _check_class_count
+from .core import (FlowField, Frame, SegmentationMask, check_class_count,
+                   check_color, check_integer, write_flow, write_frame,
+                   write_mask)
+from .model import ModelSpec
 
 MAX_SPEED = 8.0
 # longest rectangle side or disk diameter: an object's texture tile spans
@@ -37,19 +38,12 @@ MAX_EXTENT = 2048
 NOISE_BLOB_RADIUS = 3
 
 
-def _check_finite(name: str, *values: float) -> None:
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"{name} must be finite")
+def _check_pair(name: str, pair) -> None:
+    if len(pair) != 2 or not all(math.isfinite(v) for v in pair):
+        raise ValueError(f"{name} must be two finite numbers")
 
 
-def _check_color(name: str, color) -> None:
-    for c in color:
-        check_integer(f"{name} component", c)
-    if len(color) != 3 or not all(0 <= c <= 255 for c in color):
-        raise ValueError(f"{name} must be three values in 0..255")
-
-
-@dataclass
+@dataclass(frozen=True)
 class SceneObject:
     shape: str  # "rectangle" | "disk"
     class_id: int
@@ -63,11 +57,12 @@ class SceneObject:
         if self.shape not in ("rectangle", "disk"):
             raise ValueError("shape must be rectangle or disk")
         check_integer("class_id", self.class_id)
-        _check_color("color", self.color)
-        _check_finite("position", *self.position)
-        _check_finite("velocity", *self.velocity)
-        _check_finite("size", *self.size)
-        _check_finite("radius", self.radius)
+        check_color("color", self.color)
+        _check_pair("position", self.position)
+        _check_pair("velocity", self.velocity)
+        _check_pair("size", self.size)
+        if not math.isfinite(self.radius):
+            raise ValueError("radius must be finite")
         if max(self.size) > MAX_EXTENT:
             raise ValueError(f"size must be at most {MAX_EXTENT} px a side")
         if 2 * self.radius > MAX_EXTENT:
@@ -80,7 +75,7 @@ class SceneObject:
             raise ValueError("disk needs a positive radius")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SceneSpec:
     width: int = 320
     height: int = 256
@@ -106,13 +101,13 @@ class SceneSpec:
             raise ValueError("need at least one frame")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        _check_class_count(self.num_classes, "num_classes")
+        check_class_count(self.num_classes, "num_classes")
         for obj in self.objects:
             if not 0 <= obj.class_id < self.num_classes:
                 raise ValueError("object class out of range")
         if not 0 <= self.background_class < self.num_classes:
             raise ValueError("background class out of range")
-        _check_color("background_color", self.background_color)
+        check_color("background_color", self.background_color)
         if not 0.0 <= self.texture_amplitude < math.inf:
             raise ValueError("texture_amplitude must be finite and "
                              "nonnegative")
@@ -122,8 +117,8 @@ class SceneSpec:
                 raise ValueError("noise class out of range")
         if not 0.0 <= self.label_noise_rate <= 1.0:
             raise ValueError("label_noise_rate must be in [0, 1]")
+        _check_pair("global_velocity", self.global_velocity)
         gx, gy = self.global_velocity
-        _check_finite("global_velocity", gx, gy)
         if max(abs(gx), abs(gy)) > MAX_SPEED:
             raise ValueError(f"global speed components must be <= {MAX_SPEED}")
 
@@ -146,8 +141,9 @@ def prototypes_from_scene(spec: SceneSpec) -> list:
             for k in range(spec.num_classes)]
 
 
-def model_spec_from_scene(spec: SceneSpec,
-                          feature_stride: int = 4) -> ModelSpec:
+def model_spec_from_scene(
+        spec: SceneSpec,
+        feature_stride: int = ModelSpec.feature_stride) -> ModelSpec:
     return ModelSpec(prototypes=prototypes_from_scene(spec),
                      feature_stride=feature_stride)
 

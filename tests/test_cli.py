@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import mcma
-from mcma import (FeatureMap, SceneSpec, model_spec_from_scene, read_mask,
-                  write_features, write_mask)
-from mcma.cli import load_frames, main, parse_scene_config
+from mcma import (FeatureMap, ModelSpec, PipelineConfig, SceneSpec,
+                  model_spec_from_scene, read_mask, write_features,
+                  write_mask)
+from mcma.cli import build_parser, load_frames, main, parse_scene_config
 from mcma.model import decode, encode, feature_file_path
 
 SCENE = """
@@ -314,6 +315,22 @@ class TestRun:
         with pytest.raises(SystemExit) as err:
             main(argv + [flag, "3"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv, settings", [
+        (["run", "--frames", "f", "--out", "o"],
+         {"alpha", "lambda", "flow_scale", "stride"}),
+        (["sweep", "--frames", "f", "--gt", "g", "--out", "o"],
+         {"lambda", "flow_scale", "stride"}),
+        (["bench", "--frames", "f", "--out", "o"],
+         {"alpha", "lambda", "stride"})])
+    def test_setting_defaults_are_the_dataclasses(self, argv, settings):
+        cfg = PipelineConfig()
+        defaults = {"alpha": cfg.alpha, "lambda": cfg.lam,
+                    "flow_scale": cfg.flow_scale,
+                    "stride": ModelSpec(feature_dir="f").feature_stride}
+        args = vars(build_parser().parse_args(argv))
+        assert ({key: args[key] for key in defaults if key in args}
+                == {key: defaults[key] for key in settings})
 
 
 class TestEvalAndSweep:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -6,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcma import (FeatureMap, FlowField, FormatError, Frame, PipelineConfig,
-                  SegmentationMask, read_features, read_flow, read_frame,
-                  read_mask, write_features, write_flow, write_frame,
-                  write_mask)
+from mcma import (FeatureMap, FlowField, FormatError, Frame, ModelSpec,
+                  PipelineConfig, SceneObject, SceneSpec, SegmentationMask,
+                  read_features, read_flow, read_frame, read_mask,
+                  write_features, write_flow, write_frame, write_mask)
 
 
 class TestFrame:
@@ -31,6 +32,8 @@ class TestFrame:
      "frame index must be nonnegative"),
     (lambda: Frame(np.zeros((2, 2, 1), np.uint8), index=1.5),
      "frame index must be an integer"),
+    (lambda: Frame(np.zeros((2, 2, 1), np.uint8), index=True),
+     "frame index must be an integer"),
     (lambda: FeatureMap(np.zeros((2, 2))), r"feature data must be \(c, h, w\)"),
     (lambda: FeatureMap(np.full((1, 2, 2), np.nan)),
      "feature data must be finite"),
@@ -40,8 +43,8 @@ class TestFrame:
      "flow must be finite"),
     (lambda: SegmentationMask(np.zeros((2, 2, 1), np.uint8)),
      "labels must be 2-D"),
-], ids=["frame-index", "frame-index-float", "features-2d", "features-nan",
-        "flow-shapes", "flow-nan", "mask-3d"])
+], ids=["frame-index", "frame-index-float", "frame-index-bool",
+        "features-2d", "features-nan", "flow-shapes", "flow-nan", "mask-3d"])
 def test_containers_reject_bad_data(make, message):
     with pytest.raises(ValueError, match=f"^{message}$") as err:
         make()
@@ -347,7 +350,7 @@ def test_format_errors_name_the_file(tmp_path, reader, name, data):
 class TestPipelineConfig:
     def test_defaults(self):
         cfg = PipelineConfig()
-        assert cfg.lam == 2.0
+        assert cfg.lam == 1.0
 
     @pytest.mark.parametrize("kwargs", [
         {"alpha": 0.0}, {"alpha": 1.5}, {"lam": -1.0},
@@ -364,3 +367,15 @@ class TestPipelineConfig:
         with pytest.raises(ValueError, match="alpha = 1 is the baseline "
                                              "and lam = 0 the plain EMA"):
             PipelineConfig(mode=mode)
+
+
+@pytest.mark.parametrize("settings, field, value", [
+    (PipelineConfig(), "alpha", 0.5),
+    (ModelSpec(prototypes=[(0, 0, 0), (9, 9, 9)]), "feature_stride", 0),
+    (SceneObject("disk", 1, (200, 60, 60), (5, 5), radius=3), "radius", 4),
+    (SceneSpec(), "frames", 3)],
+    ids=["config", "model", "object", "scene"])
+def test_settings_are_frozen(settings, field, value):
+    # a setting checked once cannot change after the check
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(settings, field, value)

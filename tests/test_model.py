@@ -29,7 +29,7 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=r"\[2, 256\]"):
             ModelSpec(prototypes=[(k % 256, 0, 0) for k in range(num_classes)])
 
-    @pytest.mark.parametrize("stride", [2.0, 2.5])
+    @pytest.mark.parametrize("stride", [2.0, 2.5, True])
     def test_feature_stride_integer(self, stride):
         with pytest.raises(ValueError,
                            match="^feature_stride must be an integer$"):
@@ -48,7 +48,8 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("color", [(0, 0, np.nan), (np.inf, 0, 0),
                                        (0, -1, 0), (0, 0, 256),
-                                       (0.5, 0, 0), (0, 0, 255.0)])
+                                       (0.5, 0, 0), (0, 0, 255.0),
+                                       (True, 0, 0)])
     def test_prototypes_are_finite_colors(self, color):
         # rejected here rather than blamed on the first frame's encode
         with pytest.raises(ValueError, match="^prototypes "):

@@ -101,7 +101,11 @@ class TestGenerate:
         # finite, but generate would size a texture tile by the extent
         ("radius", 1e7), ("radius", 1e300), ("radius", 1024.5),
         ("size", (1e9, 3)), ("size", (4, 2049)), ("class_id", 1.5),
-        ("color", (200.5, 60, 60))])
+        ("color", (200.5, 60, 60)), ("class_id", True),
+        ("color", (True, 60, 60)),
+        # pairs are two numbers, not padded out or cut short
+        ("position", (5,)), ("position", (5, 5, 99)),
+        ("velocity", (1, 2, 3)), ("size", (4,))])
     @pytest.mark.parametrize("shape", ["disk", "rectangle"])
     def test_object_rejects_bad_numbers(self, shape, field, value):
         kwargs = dict(shape=shape, class_id=1, color=(200, 60, 60),
@@ -136,7 +140,9 @@ class TestGenerate:
         # integers, not quietly truncated or failed on inside NumPy
         ("width", 96.0), ("height", 8.0), ("num_classes", 2.5),
         ("background_class", 0.5), ("noise_class", 1.0), ("frames", 2.5),
-        ("seed", 1.5), ("background_color", (40.7, 110, 40))])
+        ("seed", 1.5), ("background_color", (40.7, 110, 40)),
+        ("frames", True), ("background_color", (40, True, 40)),
+        ("global_velocity", (1.0,))])
     def test_scene_rejects_bad_numbers(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} "):
             disk_scene(**{field: value})
