@@ -9,6 +9,7 @@ byte-identical across hosts.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -28,7 +29,15 @@ def check_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer")
 
 
+def check_real(name: str, value) -> None:
+    """Reject a bool or a ``value`` that is not a real number; Python and
+    NumPy integers and floats pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number")
+
+
 def check_class_count(count: int, name: str = "class count") -> None:
+    check_integer(name, count)
     if not 2 <= count <= 256:
         # labels are uint8
         raise ValueError(f"{name} must be in [2, 256], got {count}")
@@ -172,6 +181,8 @@ class PipelineConfig:
     mode: str = "mcma"
 
     def __post_init__(self):
+        for name in ("alpha", "lam", "flow_scale"):
+            check_real(name, getattr(self, name))
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
         if not 0.0 <= self.lam < math.inf:

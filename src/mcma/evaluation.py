@@ -121,19 +121,18 @@ def motion_in_input_pixels(flow: FlowField, input_h: int, input_w: int) -> float
 
 def evaluate_run(preds_by_method: Mapping[str, Sequence],
                  gts: Sequence, flows: Sequence[Optional[FlowField]],
-                 num_classes: int,
-                 video_ids: Optional[Sequence] = None):
-    """Motion-partitioned mIoU table over the labeled frames.
+                 num_classes: int):
+    """Motion-partitioned mIoU table over the labeled frames of one clip.
 
     All sequences are aligned: entry k of every prediction list, of gts and
     of flows belongs to the same labeled frame. Returns rows of
-    (method, subset, miou). With video_ids, quantiles are computed per video;
-    without them, the run is one video.
+    (method, subset, miou).
     """
     check_class_count(num_classes, "num_classes")
     n = len(gts)
-    if n == 0:
-        raise ValueError("need at least one labeled frame")
+    if n < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} labeled frames, "
+                         f"got {n}")
     if len(flows) != n:
         raise ValueError("need one flow per labeled frame")
     for k, fl in enumerate(flows):
@@ -145,34 +144,14 @@ def evaluate_run(preds_by_method: Mapping[str, Sequence],
                              f"expected {n}")
 
     h, w = _labels(gts[0]).shape
-    motions = [motion_in_input_pixels(fl, h, w) for fl in flows]
+    part = motion_quantile_partition(
+        [motion_in_input_pixels(fl, h, w) for fl in flows])
+    subsets = dict(zip(SUBSETS, (range(n), part.low, part.mid, part.high)))
 
-    if video_ids is None:
-        video_ids = [0] * n
-    elif len(video_ids) != n:
-        raise ValueError("need one video id per labeled frame")
-    subsets = {name: [] for name in SUBSETS}
-    subsets["all"] = list(range(n))
-    videos = sorted(set(video_ids), key=str)
-    for vid in videos:
-        idx = [i for i in range(n) if video_ids[i] == vid]
-        if len(idx) < MIN_SAMPLES:
-            where = "" if len(videos) == 1 else f" in video {vid!r}"
-            raise ValueError(f"need at least {MIN_SAMPLES} labeled frames"
-                             f"{where}, got {len(idx)}")
-        part = motion_quantile_partition([motions[i] for i in idx])
-        subsets["low20"] += [idx[i] for i in part.low]
-        subsets["mid60"] += [idx[i] for i in part.mid]
-        subsets["high20"] += [idx[i] for i in part.high]
-
-    rows = []
-    for method, preds in preds_by_method.items():
-        for name in SUBSETS:
-            idx = subsets[name]
-            value = pooled_miou([preds[i] for i in idx],
-                                [gts[i] for i in idx], num_classes)
-            rows.append((method, name, value))
-    return rows
+    return [(method, name, pooled_miou([preds[i] for i in idx],
+                                       [gts[i] for i in idx], num_classes))
+            for method, preds in preds_by_method.items()
+            for name, idx in subsets.items()]
 
 
 def report_csv(rows) -> str:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FeatureMap
+from .core import FeatureMap, check_real
 
 
 def ema_fuse(curr: FeatureMap, warped_prev: FeatureMap,
@@ -17,6 +17,7 @@ def ema_fuse(curr: FeatureMap, warped_prev: FeatureMap,
 
     At alpha = 1 it returns ``curr`` itself, untouched: the per-frame
     baseline runs as this average at alpha = 1 and relies on that."""
+    check_real("alpha", alpha)
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must be in (0, 1]")
     if curr.data.shape != warped_prev.data.shape:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -33,10 +33,10 @@ _CHUNK = 1 << 18
 @dataclass(frozen=True)
 class ModelSpec:
     """``prototypes[k]`` is the (r, g, b) color of class k, integer
-    components in 0..255. A spec with ``feature_dir`` replays MCFE files
-    instead; give exactly one of them."""
+    components in 0..255, kept as a tuple of tuples. A spec with
+    ``feature_dir`` replays MCFE files instead; give exactly one of them."""
 
-    prototypes: Sequence[tuple] = ()
+    prototypes: Tuple[Tuple[int, int, int], ...] = ()
     feature_stride: int = 4
     feature_dir: Optional[str] = None
 
@@ -50,6 +50,8 @@ class ModelSpec:
             check_class_count(len(self.prototypes))
             for color in self.prototypes:
                 check_color("prototypes", color)
+        object.__setattr__(self, "prototypes",
+                           tuple(tuple(color) for color in self.prototypes))
 
 
 def feature_file_path(feature_dir: str, frame_index: int) -> str:

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -73,6 +73,8 @@ class SceneObject:
             raise ValueError("rectangle needs a positive size")
         if self.shape == "disk" and self.radius <= 0:
             raise ValueError("disk needs a positive radius")
+        for name in ("color", "position", "velocity", "size"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -80,7 +82,7 @@ class SceneSpec:
     width: int = 320
     height: int = 256
     num_classes: int = 2
-    objects: List[SceneObject] = field(default_factory=list)
+    objects: Tuple[SceneObject, ...] = ()
     background_class: int = 0
     background_color: Tuple[int, int, int] = (40, 110, 40)
     texture_amplitude: float = 8.0
@@ -121,6 +123,8 @@ class SceneSpec:
         gx, gy = self.global_velocity
         if max(abs(gx), abs(gy)) > MAX_SPEED:
             raise ValueError(f"global speed components must be <= {MAX_SPEED}")
+        for name in ("objects", "background_color", "global_velocity"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
 
     def default_noise_class(self) -> int:
         if self.noise_class is not None:

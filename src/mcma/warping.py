@@ -12,13 +12,14 @@ import math
 
 import numpy as np
 
-from .core import FeatureMap, FlowField
+from .core import FeatureMap, FlowField, check_real
 from .resample import gather
 
 
 def warp_features(features: FeatureMap, flow: FlowField,
                   lam: float) -> FeatureMap:
     """Sample the features at p + lam * flow(p) for every pixel p."""
+    check_real("lam", lam)
     if not 0.0 <= lam < math.inf:
         raise ValueError("lam (lambda) must be finite and nonnegative")
     if (flow.height, flow.width) != (features.height, features.width):

@@ -356,10 +356,18 @@ class TestPipelineConfig:
         {"alpha": 0.0}, {"alpha": 1.5}, {"lam": -1.0},
         {"flow_scale": 0.3}, {"executor": "gpu"}, {"mode": "magic"},
         {"lam": np.nan}, {"lam": np.inf},
+        # numbers, not a bool that reads as 1
+        {"alpha": True, "lam": True}, {"lam": True}, {"flow_scale": True},
+        {"alpha": "0.5"}, {"lam": None},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
             PipelineConfig(**kwargs)
+
+    def test_numpy_numbers_pass(self):
+        cfg = PipelineConfig(alpha=np.float32(0.5), lam=np.int64(2),
+                             flow_scale=np.float64(0.25))
+        assert (cfg.alpha, cfg.lam, cfg.flow_scale) == (0.5, 2, 0.25)
 
     @pytest.mark.parametrize("mode", ["baseline", "ema"])
     def test_mode_names_alpha_and_lambda(self, mode):

@@ -36,6 +36,9 @@ class TestEmaFuse:
             ema_fuse(f, f, 0.0)
         with pytest.raises(ValueError):
             ema_fuse(f, fmap(np.zeros((1, 3, 3))), 0.5)
+        for alpha in (True, "0.5"):
+            with pytest.raises(ValueError, match="^alpha must be a real "):
+                ema_fuse(f, f, alpha)
 
 
 def _scene(velocity=(0, 0), frames=8, noise=0.0, seed=3):

@@ -55,6 +55,17 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="^prototypes "):
             ModelSpec(prototypes=[color, (1, 1, 1)])
 
+    def test_prototypes_fixed_after_check(self):
+        # an extra or unchecked class cannot enter a checked spec afterwards
+        prototypes = [(0, 0, 0), [9, 9, 9]]
+        spec = ModelSpec(prototypes=prototypes)
+        prototypes.append((999, 0, 0))
+        prototypes[1][0] = 999
+        assert spec.prototypes == ((0, 0, 0), (9, 9, 9))
+        assert all(type(color) is tuple for color in spec.prototypes)
+        frame = Frame(np.zeros((4, 4, 3), np.uint8))
+        assert encode(frame, spec).channels == 2
+
     def test_256_classes_decode_to_top_label(self):
         spec = ModelSpec(feature_stride=1, feature_dir="features")
         data = np.zeros((256, 2, 2), np.float32)

@@ -83,6 +83,24 @@ class TestGenerate:
         assert prototypes_from_scene(spec) == [(40, 110, 40), (200, 60, 60),
                                                (209, 46, 128)]
 
+    def test_objects_fixed_after_check(self):
+        # a class out of range cannot enter a checked scene afterwards
+        objects = [SceneObject("disk", 1, [200, 60, 60], [16, 16],
+                               velocity=[1, 0], radius=6)]
+        spec = SceneSpec(width=32, height=32, frames=1, objects=objects)
+        objects.append(SceneObject("disk", 5, (200, 60, 60), (8, 8),
+                                   radius=6))
+        with pytest.raises(AttributeError):
+            spec.objects.append(objects[1])
+        assert spec.objects == (objects[0],)
+        assert generate(spec)[0][1].labels.max() == 1
+        for obj, names in ((spec, ("objects", "background_color",
+                                   "global_velocity")),
+                           (objects[0], ("color", "position", "velocity",
+                                         "size"))):
+            for name in names:
+                assert type(getattr(obj, name)) is tuple, name
+
     @pytest.mark.parametrize("noise_class", [-1, 2])
     def test_noise_class_out_of_range(self, noise_class):
         with pytest.raises(ValueError, match="noise class"):

@@ -74,6 +74,11 @@ class TestWarpFeatures:
         with pytest.raises(ValueError, match="lam"):
             warp_features(random_features(rng), FlowField.zeros(6, 7), lam)
 
+    @pytest.mark.parametrize("lam", [True, "1", None])
+    def test_lambda_is_a_number(self, rng, lam):
+        with pytest.raises(ValueError, match="^lam must be a real number$"):
+            warp_features(random_features(rng), FlowField.zeros(6, 7), lam)
+
     def test_shape_preserved(self, rng):
         fm = random_features(rng)
         flow = FlowField(rng.normal(0, 2, (6, 7)).astype(np.float32),
