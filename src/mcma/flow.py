@@ -53,7 +53,7 @@ import math
 
 import numpy as np
 
-from .core import FLOW_SCALES, FlowField, Frame
+from .core import FLOW_SCALES, FlowField, Frame, check_real
 from .resample import area_mean, bilinear
 
 
@@ -84,6 +84,7 @@ def to_grayscale(frame: Frame) -> Frame:
 
 def downscale_frame(frame: Frame, scale: float) -> Frame:
     """Area-averaged downsample by 1, 1/2 or 1/4."""
+    check_real("scale", scale)
     if scale not in FLOW_SCALES:
         raise ValueError("scale must be one of 1, 1/2, 1/4")
     if scale == 1.0:

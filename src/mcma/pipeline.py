@@ -1,23 +1,24 @@
 """Streaming segmentation: one recurrence per frame, plus timing.
 
 ``Segmenter._step`` is the only place the recurrence runs: flow, encode,
-warp, fuse and decode for one frame, and ``Segmenter.stream`` is the only
-loop that runs it. A frame's whole flow stage, its flow-grid downscale and
-its ``FlowEstimator.push``, is one task, ``_push_copy``. The sequential
-executor runs it inline. The parallel executor runs it one frame ahead on
-one worker thread: each frame is read on the calling thread as it arrives,
-and downscaled and pushed on the worker while the caller encodes, warps,
-fuses and decodes the frame before it. Flow never reads the model's
-output, and everything downstream of it stays strictly ordered on the
-calling thread, so both schedules give bit-identical masks.
+warp, fuse and decode for one frame, and ``Segmenter.stream`` is the one
+loop that runs it on both executors. A frame's whole flow stage, its
+flow-grid downscale and its ``FlowEstimator.push``, is one task,
+``_push_copy``, and the schedule, ``Segmenter._schedule``, alone decides
+where it runs: inline on the sequential executor, one frame ahead on one
+worker thread on the parallel one. Each frame is read on the calling
+thread. Flow never reads the model's output, and everything downstream of
+it stays strictly ordered on the calling thread, so both schedules give
+bit-identical masks.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import io
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Iterable, List, Optional, Sequence
@@ -70,15 +71,12 @@ def _timed(fn, *args):
     return out, _now_us() - t0
 
 
-def _push_copy(base, frame: Frame, scale: float):
+def _push_copy(estimator, frame: Frame, scale: float):
     """One frame's whole flow stage, inline or on the worker: downscale
-    ``frame`` by ``scale`` and push it to a shallow copy of ``base``, an
-    estimator or the future of the previous frame's task, which the one
-    worker has already run. Returns (estimator, flow, flow_us), where
-    flow_us times the downscale and the push."""
-    if isinstance(base, Future):
-        base = base.result()[0]
-    estimator = copy.copy(base)
+    ``frame`` by ``scale`` and push it to a shallow copy of ``estimator``.
+    Returns (estimator, flow, flow_us), where flow_us times the downscale
+    and the push."""
+    estimator = copy.copy(estimator)
     small, downscale_us = _timed(downscale_frame, frame, scale)
     flow, push_us = _timed(estimator.push, small)
     return estimator, flow, downscale_us + push_us
@@ -129,49 +127,52 @@ class Segmenter:
 
     def stream(self, frames: Iterable[Frame]):
         """Segment ``frames`` in order, reading each only when it is due;
-        yields (mask, StageTiming) per frame.
-
-        On the parallel executor, frame t+1 is read on the calling thread,
-        and its whole flow stage, the downscale and the push, is handed to a
-        worker thread before frame t is encoded, so the flow runs beside
-        frame t's model work. ``total_us`` is the wall time from the
-        previous mask (or the start) to this one, so a stream's totals add
-        up to its wall time. The worker is shut down when the stream ends,
-        fails or is closed.
+        yields (mask, StageTiming) per frame. ``_schedule`` decides where
+        each frame's flow stage runs; its worker thread, if any, ends when
+        the stream ends, fails or is closed. ``total_us`` is the wall time
+        from the previous mask (or the start) to this one, so a stream's
+        totals add up to its wall time.
         """
-        if self.cfg.executor == "parallel" and self._needs_flow:
-            yield from self._stream_ahead(iter(frames))
-            return
-        scale = self.cfg.flow_scale
         mark = _now_us()
-        for frame in frames:
-            mask, timing = self._step(
-                frame, mark,
-                lambda f=frame: _push_copy(self._flow, f, scale))
-            mark += timing.total_us
-            yield mask, timing
+        with contextlib.closing(self._schedule(frames)) as schedule:
+            for frame, flow_stage in schedule:
+                mask, timing = self._step(frame, mark, flow_stage)
+                # frame t and its flow stage would otherwise stay alive
+                # while the schedule reads and submits frame t+2
+                del frame, flow_stage
+                mark += timing.total_us
+                yield mask, timing
 
-    def _stream_ahead(self, frames):
-        pool = ThreadPoolExecutor(max_workers=1)
+    def _schedule(self, frames):
+        """Yield each frame with its flow stage, a call that returns
+        (estimator, flow, flow_us): inline, or, on the parallel executor
+        where the settings need flow, a task that one worker thread runs
+        beside the previous frame's model work, started as soon as the
+        frame is read. A failure to read frame t+1 is raised after frame t."""
         scale = self.cfg.flow_scale
+        if self.cfg.executor == "sequential" or not self._needs_flow:
+            for frame in frames:
+                yield frame, lambda f=frame: _push_copy(self._flow, f, scale)
+            return
+
+        def after(previous, frame):
+            # the one worker has run the previous frame's task already
+            return _push_copy(previous.result()[0], frame, scale)
+        pool = ThreadPoolExecutor(max_workers=1)
         try:
-            mark = _now_us()
+            frames = iter(frames)
             frame = next(frames, None)
             pending = (None if frame is None
                        else pool.submit(_push_copy, self._flow, frame, scale))
             while frame is not None:
                 try:
-                    ahead, unread = next(frames, None), None
-                except Exception as exc:  # frame t+1's, raised after mask t
-                    ahead, unread = None, exc
+                    ahead = next(frames, None)
+                except Exception:
+                    yield frame, pending.result
+                    raise
                 following = (None if ahead is None
-                             else pool.submit(_push_copy, pending, ahead,
-                                              scale))
-                mask, timing = self._step(frame, mark, pending.result)
-                mark += timing.total_us
-                yield mask, timing
-                if unread is not None:
-                    raise unread
+                             else pool.submit(after, pending, ahead))
+                yield frame, pending.result
                 frame, pending = ahead, following
         finally:
             pool.shutdown(cancel_futures=True)

@@ -27,8 +27,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .core import (FlowField, Frame, SegmentationMask, check_class_count,
-                   check_color, check_integer, write_flow, write_frame,
-                   write_mask)
+                   check_color, check_integer, check_real, write_flow,
+                   write_frame, write_mask)
 from .model import ModelSpec
 
 MAX_SPEED = 8.0
@@ -39,8 +39,12 @@ NOISE_BLOB_RADIUS = 3
 
 
 def _check_pair(name: str, pair) -> None:
-    if len(pair) != 2 or not all(math.isfinite(v) for v in pair):
+    if len(pair) != 2:
         raise ValueError(f"{name} must be two finite numbers")
+    for v in pair:
+        check_real(f"{name} component", v)
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be two finite numbers")
 
 
 @dataclass(frozen=True)
@@ -61,6 +65,7 @@ class SceneObject:
         _check_pair("position", self.position)
         _check_pair("velocity", self.velocity)
         _check_pair("size", self.size)
+        check_real("radius", self.radius)
         if not math.isfinite(self.radius):
             raise ValueError("radius must be finite")
         if max(self.size) > MAX_EXTENT:
@@ -110,6 +115,8 @@ class SceneSpec:
         if not 0 <= self.background_class < self.num_classes:
             raise ValueError("background class out of range")
         check_color("background_color", self.background_color)
+        for name in ("texture_amplitude", "label_noise_rate"):
+            check_real(name, getattr(self, name))
         if not 0.0 <= self.texture_amplitude < math.inf:
             raise ValueError("texture_amplitude must be finite and "
                              "nonnegative")

@@ -418,6 +418,11 @@ class TestDownscale:
             downscale_frame(Frame(np.zeros((8, 8, 1), np.uint8)), 0.3)
         assert err.type is ValueError
 
+    def test_scale_that_is_not_a_real_number(self):
+        # True == 1.0, so the FLOW_SCALES test alone would pass it as 1
+        with pytest.raises(ValueError, match=r"^scale must be a real number$"):
+            downscale_frame(Frame(np.zeros((8, 8, 1), np.uint8)), True)
+
 
 class TestResizeFlow:
     def test_constant_upscale_rescales_magnitude(self):

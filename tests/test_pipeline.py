@@ -317,6 +317,24 @@ class TestRunParallel:
                     seen.append(mask)
             assert len(seen) == 2
 
+    @pytest.mark.parametrize("executor, settings, ahead", [
+        ("sequential", dict(), 0), ("parallel", dict(alpha=1.0), 0),
+        ("parallel", dict(), 1)],
+        ids=["sequential", "parallel-without-flow", "parallel"])
+    def test_frames_are_read_only_when_due(self, executor, settings, ahead):
+        # the parallel executor reads one frame ahead only to start its flow
+        n, read = 5, []
+
+        def frames():
+            for frame in tiny_frames(n):
+                read.append(frame.index)
+                yield frame
+        cfg = PipelineConfig(**{"alpha": 0.5, "executor": executor,
+                                **settings})
+        counts = [len(read)
+                  for _ in Segmenter(cfg, tiny_model()).stream(frames())]
+        assert counts == [min(t + 1 + ahead, n) for t in range(n)]
+
 
 class TestWorkerLifetime:
     """The parallel stream's worker thread ends on every exit path."""
@@ -355,6 +373,21 @@ class TestWorkerLifetime:
         before = threading.active_count()
         abandon()
         assert threading.active_count() == before
+
+    def test_unreadable_frame(self):
+        def frames():
+            yield from tiny_frames(2)
+            raise OSError("frame 2 unreadable")
+
+        def failing():
+            seen = []
+            with pytest.raises(OSError, match="frame 2 unreadable"):
+                for mask, _ in Segmenter(cfg, tiny_model()).stream(frames()):
+                    seen.append(mask)
+            assert len(seen) == 2
+        cfg = PipelineConfig(alpha=0.5, executor="parallel")
+        before, after = self.threads_after(failing)
+        assert after == before
 
     @pytest.mark.parametrize("settings", [dict(alpha=1.0), dict(lam=0.0)])
     def test_settings_without_flow_start_no_thread(self, settings):
@@ -512,7 +545,8 @@ class TestAlphaSweepInputs:
 
     @pytest.mark.parametrize("lam, flow_scale, alphas", [
         (-1.0, 1.0, [0.5]), (1.0, 0.3, [0.5]), (1.0, 1.0, [0.5, 1.5]),
-        (1.0, 1.0, [])], ids=["lambda", "flow-scale", "alpha", "no-alpha"])
+        (1.0, 1.0, []), (1.0, True, [0.5])],
+        ids=["lambda", "flow-scale", "alpha", "no-alpha", "flow-scale-bool"])
     def test_bad_settings_fail_before_any_frame_is_encoded(
             self, monkeypatch, lam, flow_scale, alphas):
         spec = moving_scene(frames=3, width=64, height=48)

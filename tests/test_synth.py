@@ -123,7 +123,10 @@ class TestGenerate:
         ("color", (True, 60, 60)),
         # pairs are two numbers, not padded out or cut short
         ("position", (5,)), ("position", (5, 5, 99)),
-        ("velocity", (1, 2, 3)), ("size", (4,))])
+        ("velocity", (1, 2, 3)), ("size", (4,)),
+        # real numbers, not bools or strings
+        ("position", (True, 5)), ("velocity", (True, 0)), ("radius", True),
+        ("size", (4, True)), ("position", ("a", 5)), ("radius", "3")])
     @pytest.mark.parametrize("shape", ["disk", "rectangle"])
     def test_object_rejects_bad_numbers(self, shape, field, value):
         kwargs = dict(shape=shape, class_id=1, color=(200, 60, 60),
@@ -160,7 +163,11 @@ class TestGenerate:
         ("background_class", 0.5), ("noise_class", 1.0), ("frames", 2.5),
         ("seed", 1.5), ("background_color", (40.7, 110, 40)),
         ("frames", True), ("background_color", (40, True, 40)),
-        ("global_velocity", (1.0,))])
+        ("global_velocity", (1.0,)),
+        # real numbers, not bools or strings
+        ("label_noise_rate", True), ("texture_amplitude", True),
+        ("global_velocity", (True, 0)), ("global_velocity", ("a", 0)),
+        ("texture_amplitude", "3"), ("label_noise_rate", "0.5")])
     def test_scene_rejects_bad_numbers(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} "):
             disk_scene(**{field: value})
