@@ -169,6 +169,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_run(args) -> int:
+    """Write each mask as ``run`` makes it, so memory does not grow with
+    the clip, and timings.csv after the last. The output directory appears
+    with the first mask: a run that fails at frame t keeps masks 0..t-1,
+    and one that fails before any mask leaves nothing."""
     # read as the run goes: on the parallel executor, frame t+1 is read
     # while the worker computes flow
     frames = _read_frames(_sorted_paths(args.frames, ".ppm"))
@@ -177,13 +181,15 @@ def cmd_run(args) -> int:
                          executor={"seq": "sequential",
                                    "par": "parallel"}[args.executor])
     spec = _model_spec(args, args.frames)
-    masks, timings = run(frames, cfg, spec)
-    os.makedirs(args.out, exist_ok=True)
-    for j, mask in enumerate(masks):
-        write_mask(mask, os.path.join(args.out, f"{j:06d}.pgm"))
+
+    def write(mask, timing):
+        os.makedirs(args.out, exist_ok=True)
+        write_mask(mask, os.path.join(args.out,
+                                      f"{timing.frame_index:06d}.pgm"))
+    _, timings = run(frames, cfg, spec, emit=write)
     with open(os.path.join(args.out, "timings.csv"), "w") as fh:
         fh.write(timings_csv(timings))
-    print(f"wrote {len(masks)} masks to {args.out}")
+    print(f"wrote {len(timings)} masks to {args.out}")
     return 0
 
 

@@ -158,19 +158,21 @@ class Segmenter:
         def after(previous, frame):
             # the one worker has run the previous frame's task already
             return _push_copy(previous.result()[0], frame, scale)
+        # the end of the frames; a None frame fails in _step, as inline
+        end = object()
         pool = ThreadPoolExecutor(max_workers=1)
         try:
             frames = iter(frames)
-            frame = next(frames, None)
-            pending = (None if frame is None
+            frame = next(frames, end)
+            pending = (None if frame is end
                        else pool.submit(_push_copy, self._flow, frame, scale))
-            while frame is not None:
+            while frame is not end:
                 try:
-                    ahead = next(frames, None)
+                    ahead = next(frames, end)
                 except Exception:
                     yield frame, pending.result
                     raise
-                following = (None if ahead is None
+                following = (None if ahead is end
                              else pool.submit(after, pending, ahead))
                 yield frame, pending.result
                 frame, pending = ahead, following
@@ -222,17 +224,24 @@ class Segmenter:
                                  self.cfg.flow_scale)
 
 
-def run(frames: Iterable[Frame], cfg: PipelineConfig, model_spec: ModelSpec):
+def run(frames: Iterable[Frame], cfg: PipelineConfig, model_spec: ModelSpec,
+        *, emit: Optional[Callable[[SegmentationMask, StageTiming], None]] = None):
     """Segment a clip on ``cfg.executor``; returns (masks, timings).
 
     ``frames`` may be any iterable; each frame is read only when the
-    stream reaches it (see Segmenter.stream).
+    stream reaches it (see Segmenter.stream). With ``emit``, each mask is
+    passed to ``emit(mask, timing)`` as the stream yields it and is not
+    kept, so ``masks`` comes back empty; the time ``emit`` takes counts in
+    the next frame's ``total_us``.
     """
-    results = list(Segmenter(cfg, model_spec).stream(frames))
-    if not results:
+    masks: List[SegmentationMask] = []
+    timings: List[StageTiming] = []
+    emit = emit or (lambda mask, _: masks.append(mask))
+    for mask, timing in Segmenter(cfg, model_spec).stream(frames):
+        emit(mask, timing)
+        timings.append(timing)
+    if not timings:
         raise ValueError("need at least one frame")
-    masks: List[SegmentationMask] = [mask for mask, _ in results]
-    timings: List[StageTiming] = [timing for _, timing in results]
     return masks, timings
 
 

@@ -16,10 +16,10 @@ from mcma import Frame, ModelSpec, PipelineConfig
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 # hooks that only the command line workload reaches
 CLI_ONLY = {"core.read_frame", "core.write_mask", "cli.load_frames"}
-# `mcma run` reads its frames inside pipeline.run, one at a time, and writes
-# the masks after it returns; `sweep` and `bench` load the frames first
+# `mcma run` reads its frames and writes each mask inside pipeline.run, one
+# at a time; `sweep` and `bench` load the frames first
 NOT_IN_CLI_RUN = {"cli.load_frames"}
-AFTER_CLI_RUN = {"core.write_mask"}
+AFTER_CLI_RUN = set()
 
 
 def assert_one_flow_per_pair(flows, frames, grid):

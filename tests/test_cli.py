@@ -1,13 +1,14 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import mcma
 from mcma import (FeatureMap, ModelSpec, PipelineConfig, SceneSpec,
-                  model_spec_from_scene, read_mask, write_features,
+                  model_spec_from_scene, read_mask, run, write_features,
                   write_mask)
 from mcma.cli import build_parser, load_frames, main, parse_scene_config
 from mcma.model import decode, encode, feature_file_path
@@ -277,6 +278,82 @@ class TestRun:
         assert code == 1
         err = capsys.readouterr().err
         assert f"{bad}: truncated PNM payload" in err
+
+    @pytest.mark.parametrize("executor", ["seq", "par"])
+    @pytest.mark.parametrize("bad", [0, 3])
+    def test_failed_run_keeps_the_masks_before(self, dataset, tmp_path,
+                                               executor, bad):
+        # masks are written as they are made; timings.csv only at the end
+        frames = sorted((dataset / "frames").glob("*.ppm"))
+        for extra in frames[6:]:
+            extra.unlink()
+        frames[bad].write_bytes(frames[bad].read_bytes()[:-10])
+        out = tmp_path / "out"
+        assert main(["run", "--frames", str(dataset / "frames"),
+                     "--alpha", "0.2", "--flow-scale", "0.5",
+                     "--executor", executor, "--out", str(out)]) == 1
+        if bad == 0:
+            assert not out.exists()
+        else:
+            assert sorted(path.name for path in out.iterdir()) == [
+                f"{j:06d}.pgm" for j in range(bad)]
+
+    @pytest.mark.parametrize("executor", ["seq", "par"])
+    def test_written_files_equal_runs_masks(self, dataset, tmp_path, executor):
+        out = tmp_path / "out"
+        assert main(["run", "--frames", str(dataset / "frames"),
+                     "--alpha", "0.2", "--flow-scale", "0.5",
+                     "--executor", executor, "--out", str(out)]) == 0
+        cfg = PipelineConfig(alpha=0.2, flow_scale=0.5, executor={
+            "seq": "sequential", "par": "parallel"}[executor])
+        spec = model_spec_from_scene(parse_scene_config(SCENE))
+        masks, _ = run(load_frames(dataset / "frames"), cfg, spec)
+        written = sorted(out.glob("*.pgm"))
+        assert [path.name for path in written] == [
+            f"{j:06d}.pgm" for j in range(len(masks))]
+        want = tmp_path / "want.pgm"
+        for path, mask in zip(written, masks):
+            write_mask(mask, want)
+            assert path.read_bytes() == want.read_bytes()
+        rows = (out / "timings.csv").read_text().splitlines()[1:]
+        assert [int(row.split(",")[0]) for row in rows] == list(
+            range(len(masks)))
+
+    @pytest.mark.parametrize("executor", ["seq", "par"])
+    def test_memory_does_not_grow_with_the_clip(self, tmp_path, executor):
+        # a mask is 48 KB here, and each is written as it is made, so 28
+        # more frames must not hold 4 more masks. Each clip's peak is the
+        # least of three runs: where the worker is when the caller reads a
+        # frame moves a parallel run's peak by up to about 250 KB
+        scene = tmp_path / "scene.cfg"
+        scene.write_text("width = 256\nheight = 192\nframes = 32\nseed = 3\n"
+                         "object = shape=disk class=1 color=200,60,60 "
+                         "center=80,96 radius=30 velocity=3,1\n")
+        data = tmp_path / "data"
+        assert main(["generate", "--config", str(scene),
+                     "--out", str(data)]) == 0
+        short = tmp_path / "short"
+        short.mkdir()
+        for path in sorted((data / "frames").glob("*.ppm"))[:4]:
+            (short / path.name).write_bytes(path.read_bytes())
+
+        def run_clip(frames):
+            assert main(["run", "--frames", str(frames),
+                         "--scene", str(scene), "--alpha", "0.5",
+                         "--flow-scale", "0.5", "--executor", executor,
+                         "--out", str(tmp_path / "out")]) == 0
+
+        def peak(frames):
+            tracemalloc.start()
+            try:
+                run_clip(frames)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        run_clip(short)  # scipy's import and first-call caches
+        growth = (min(peak(data / "frames") for _ in range(3))
+                  - min(peak(short) for _ in range(3)))
+        assert growth < 4 * 256 * 192
 
     def test_non_finite_lambda_exits_1(self, dataset, tmp_path, capsys):
         code = main(["run", "--frames", str(dataset / "frames"),

@@ -317,6 +317,15 @@ class TestRunParallel:
                     seen.append(mask)
             assert len(seen) == 2
 
+    @pytest.mark.parametrize("executor", ["sequential", "parallel"])
+    def test_none_frame_fails_at_its_position(self, executor):
+        # None is a frame like any other, not the end of the frames
+        first, _, last = tiny_frames(3)
+        cfg = PipelineConfig(alpha=0.5, executor=executor)
+        with pytest.raises(PipelineError) as err:
+            list(Segmenter(cfg, tiny_model()).stream([first, None, last]))
+        assert (err.value.frame_index, err.value.stage) == (1, "input")
+
     @pytest.mark.parametrize("executor, settings, ahead", [
         ("sequential", dict(), 0), ("parallel", dict(alpha=1.0), 0),
         ("parallel", dict(), 1)],
