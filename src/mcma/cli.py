@@ -151,10 +151,12 @@ def _model_spec(args, frames_dir) -> ModelSpec:
 
 
 def _add_model_args(p):
-    p.add_argument("--scene", help="scene config used to build the reference "
-                                   "model (default: <frames>/../scene.cfg)")
-    p.add_argument("--features", help="MCFE directory for feature-files mode "
-                                      "(class count = channel count)")
+    # the scene builds the reference model and features replace it
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--scene", help="scene config used to build the "
+                        "reference model (default: <frames>/../scene.cfg)")
+    source.add_argument("--features", help="MCFE directory for feature-files "
+                        "mode (class count = channel count)")
     p.add_argument("--stride", type=int, default=ModelSpec.feature_stride,
                    help="feature stride")
 

@@ -23,14 +23,16 @@ pyramid and the expansion correlate by slices of padded buffers whose
 edges ``_correlate`` replicates itself, once per buffer for all the
 kernels that read it, and the expansion folds the inverse of its metric
 into its 1-D kernels, so each of its five coefficients is one row pass and
-one column pass. The solve's box filters are scipy's ``uniform_filter1d``;
-``_solve_level`` imports ``scipy.ndimage`` when it runs, not this module,
-so a process that never solves flow never loads scipy.
+one column pass. A level's expansion is one float32 ``(5, h, w)`` stack
+(a11, a12, a22, b1, b2). A solve iteration gathers the previous frame's
+stack once and box-filters its five normal-equation sums as one stack by
+scipy's ``uniform_filter1d``; ``_solve_level`` imports ``scipy.ndimage``
+when it runs, so a process that never solves flow never loads scipy.
 
 Scratch: the temporaries of the pyramid, the expansion and the solve live
-in one block of ``SCRATCH_PLANES`` float64 planes of the finest level
-(7.2 MB at 320x256); a coarser level carves its arrays from the front of
-the same block. The solve's 19 planes take 81 of its 88 bytes per pixel;
+in one block of ``SCRATCH_PLANES`` (10) float64 planes of the finest level
+(6.55 MB at 320x256); a coarser level carves its arrays from the front of
+the same block. The solve's 8 arrays take 73 of its 80 bytes per pixel;
 the pyramid's padded copies and the expansion's padded copy and 3 row
 passes, all float32, take about 16 and 20. ``FlowEstimator`` makes its
 block on the first push and serves only that frame size (a push of another
@@ -66,8 +68,8 @@ ITERATIONS = (3, 2, 1)
 POLY_N = 5
 POLY_SIGMA = 1.1
 # float64 planes of the finest level in a scratch block, sized by the
-# solve's temporaries: 81 of the 88 bytes per pixel
-SCRATCH_PLANES = 11
+# solve's temporaries: 73 of the 80 bytes per pixel
+SCRATCH_PLANES = 10
 
 
 def to_grayscale(frame: Frame) -> Frame:
@@ -219,16 +221,15 @@ _ROW_KERNELS, _COLUMN_KERNELS = _expansion_kernels()
 def polynomial_expansion(img: np.ndarray, scratch: np.ndarray):
     """Per-pixel weighted least-squares quadratic fit of a 2-D array.
 
-    Returns (a11, a12, a22, b1, b2) arrays: f(p + (x, y)) is approximated
-    by a11 x^2 + 2 a12 xy + a22 y^2 + b1 x + b2 y + c with Gaussian weights of
-    std POLY_SIGMA over a POLY_N x POLY_N neighbourhood, and edges
-    replicated. The solve never reads the constant term c, so it is not
-    computed. Each coefficient is one row pass and one column pass of the
-    kernels that fold G^-1 in (``_expansion_kernels``), in float32; a
-    float64 ``img`` is rounded to float32 as it is copied in. The five
-    arrays are fresh float32 ones; the padded copies and the 3 row passes
-    are carved from ``scratch``, a ``_scratch`` block for ``img``'s shape
-    or a finer one.
+    Returns a fresh float32 ``(5, h, w)`` stack (a11, a12, a22, b1, b2):
+    f(p + (x, y)) is approximated by a11 x^2 + 2 a12 xy + a22 y^2 + b1 x +
+    b2 y + c with Gaussian weights of std POLY_SIGMA over a POLY_N x POLY_N
+    neighbourhood, and edges replicated. The solve never reads the constant
+    term c, so it is not computed. Each coefficient is one row pass and one
+    column pass of the kernels that fold G^-1 in (``_expansion_kernels``),
+    in float32; a float64 ``img`` is rounded to float32 as it is copied in.
+    The padded copies and the 3 row passes are carved from ``scratch``, a
+    ``_scratch`` block for ``img``'s shape or a finer one.
     """
     h, w = img.shape
     r = POLY_N // 2
@@ -240,11 +241,11 @@ def polynomial_expansion(img: np.ndarray, scratch: np.ndarray):
     # each padded buffer is filled once, by one call for all its kernels
     _correlate(pad_x, 1, tmp, [(k, row[r:r + h])
                                for k, row in zip(_ROW_KERNELS, rows)])
-    coeffs = [np.empty((h, w), np.float32) for _ in _COLUMN_KERNELS]
+    coeffs = np.empty((len(_COLUMN_KERNELS), h, w), np.float32)
     for i, row in enumerate(rows):
         _correlate(row, 0, tmp, [(k, c) for (j, k), c
                                  in zip(_COLUMN_KERNELS, coeffs) if j == i])
-    return tuple(coeffs)
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +293,11 @@ def _pyramid(img: np.ndarray, scratch: np.ndarray):
 
 
 def expand(frame: Frame, scratch: np.ndarray) -> list:
-    """The frame's (a11, a12, a22, b1, b2) expansions at each pyramid level,
-    fine to coarse: what ``FlowEstimator`` keeps of a frame for the next
-    pair. The gray plane becomes float32 once, and every level and
-    expansion stays in float32; the arrays returned are fresh, and
-    ``scratch`` holds only temporaries."""
+    """The frame's ``(5, h, w)`` expansion stacks (a11, a12, a22, b1, b2),
+    one per pyramid level, fine to coarse: what ``FlowEstimator`` keeps of
+    a frame for the next pair. The gray plane becomes float32 once, and
+    every level and expansion stays in float32; the stacks returned are
+    fresh, and ``scratch`` holds only temporaries."""
     img = to_grayscale(frame).data[:, :, 0].astype(np.float32)
     return [polynomial_expansion(level, scratch)
             for level in _pyramid(img, scratch)]
@@ -306,87 +307,83 @@ def _solve_level(cur, prev, u, v, scratch: np.ndarray, iterations: int):
     """``iterations`` updates of (u, v) at one level, in place; returns
     (u, v). ``estimate_flow`` gives the levels 3, 2 and 1 iterations,
     coarse to fine (``ITERATIONS``).
-    ``cur`` and ``prev`` are the two frames' expansions at that level, and
-    the temporaries are carved from ``scratch``. Each step is the float32
-    operation of the plain expression in the comment above it, in its
-    order, so the result does not depend on where the temporaries live."""
+    ``cur`` and ``prev`` are the two frames' ``(5, h, w)`` expansions at
+    that level, and the temporaries are carved from ``scratch``. Each step
+    is the float32 operation of the plain expression in the comment above
+    it, in its order, on each plane, so the result does not depend on
+    where the temporaries live."""
     # 0.3-0.4 s to import on a 2-CPU Xeon VM; only a flow solve pays it
     from scipy import ndimage
 
     h, w = u.shape
-    a11c, a12c, a22c, b1c, b2c = cur
-    a11p, a12p, a22p, b1p, b2p = (a.ravel() for a in prev)
+    flat_prev = prev.reshape(5, h * w)
     xx = np.arange(w, dtype=np.float32)
     yy = np.arange(h, dtype=np.float32)[:, None]
     eps = 1e-9
-    (at, xi, x, y, du, dv, a11, a12, a22, db1, db2, t, t2,
-     m11, m12, m22, h1, h2, ok) = _carve(
-        scratch, *((u.shape, dtype) for dtype in
-                   (np.intp, np.intp, *[np.float32] * 16, np.bool_)))
-
-    def box(m, out):
-        # uniform_filter's two passes, in its order, without its set-up
-        ndimage.uniform_filter1d(m, WINDOW, axis=0, output=out,
-                                 mode="nearest")
-        ndimage.uniform_filter1d(out, WINDOW, axis=1, output=out,
-                                 mode="nearest")
-
-    def box_of(p, q, r, s, out):
-        # box(p * q + r * s)
-        np.multiply(p, q, out=t)
-        np.multiply(r, s, out=t2)
-        box(np.add(t, t2, out=t), out)
+    # a: the mean (a11, a12, a22) and the half difference of (b1, b2) of
+    # the two expansions; m: the box sums (m11, m12, m22, h1, h2) of the
+    # normal equations; ok last, so the float32 arrays stay aligned
+    at, du, dv, a, db, t, m, ok = _carve(
+        scratch, (u.shape, np.intp), (u.shape, np.float32),
+        (u.shape, np.float32), ((5, h, w), np.float32),
+        ((2, h, w), np.float32), ((2, h, w), np.float32),
+        ((5, h, w), np.float32), (u.shape, np.bool_))
 
     for _ in range(iterations):
-        # x = clip(rint(xx + u), 0, w - 1), likewise y
-        np.add(xx, u, out=x)
-        np.clip(np.rint(x, out=x), 0, w - 1, out=x)
-        np.add(yy, v, out=y)
-        np.clip(np.rint(y, out=y), 0, h - 1, out=y)
-        # at = int(y) * w + int(x), the flat index of the previous frame
-        np.copyto(at, y, casting="unsafe")
+        # x = clip(rint(xx + u), 0, w - 1) in du, likewise y in dv
+        np.add(xx, u, out=du)
+        np.clip(np.rint(du, out=du), 0, w - 1, out=du)
+        np.add(yy, v, out=dv)
+        np.clip(np.rint(dv, out=dv), 0, h - 1, out=dv)
+        # at = int(y) * w + x, the flat index of the previous frame; the
+        # add runs in float64, exact on these whole numbers
+        np.copyto(at, dv, casting="unsafe")
         at *= w
-        np.copyto(xi, x, casting="unsafe")
-        at += xi
-        np.subtract(x, xx, out=du)
-        np.subtract(y, yy, out=dv)
+        np.add(at, du, out=at, casting="unsafe")
+        du -= xx
+        dv -= yy
 
-        # a = 0.5 * (ac + ap[at]); indices are in range, so "clip" reads
-        # what "raise" would, without buffering the output
-        for a, ap, ac in ((a11, a11p, a11c), (a12, a12p, a12c),
-                          (a22, a22p, a22c)):
-            ap.take(at, out=a, mode="clip")
-            a += ac
-            a *= 0.5
-        # db = ax * du + ay * dv - 0.5 * (bp[at] - bc)
-        for db, ax, ay, bp, bc in ((db1, a11, a12, b1p, b1c),
-                                   (db2, a12, a22, b2p, b2c)):
-            np.multiply(ax, du, out=db)
-            np.multiply(ay, dv, out=t)
-            db += t
-            bp.take(at, out=t, mode="clip")
-            t -= bc
-            t *= 0.5
-            db -= t
+        # a = 0.5 * (ap[at] + ac), b = 0.5 * (bp[at] - bc); indices are
+        # in range, so "clip" reads what "raise" would, without buffering
+        # the output
+        flat_prev.take(at, axis=1, out=a, mode="clip")
+        a[:3] += cur[:3]
+        a[3:] -= cur[3:]
+        a *= 0.5
+        # db = (a11, a12) * du + (a12, a22) * dv - b
+        np.multiply(a[0:2], du, out=db)
+        np.multiply(a[1:3], dv, out=t)
+        db += t
+        db -= a[3:]
 
-        box_of(a11, a11, a12, a12, m11)
-        np.add(a11, a22, out=t)
-        t *= a12
-        box(t, m12)
-        box_of(a12, a12, a22, a22, m22)
-        box_of(a11, db1, a12, db2, h1)
-        box_of(a12, db1, a22, db2, h2)
-        # det = m11 * m22 - m12 * m12 (in t); ok = |det| > eps
-        np.multiply(m11, m22, out=t)
-        np.multiply(m12, m12, out=t2)
-        t -= t2
-        np.greater(np.abs(t, out=t2), eps, out=ok)
+        # (m11, m22) = (a11, a12)^2 + (a12, a22)^2
+        np.multiply(a[0:2], a[0:2], out=m[0:3:2])
+        np.multiply(a[1:3], a[1:3], out=t)
+        m[0:3:2] += t
+        # m12 = (a11 + a22) * a12
+        np.add(a[0], a[2], out=m[1])
+        m[1] *= a[1]
+        # (h1, h2) = (a11, a12) * db1 + (a12, a22) * db2
+        np.multiply(a[0:2], db[0], out=m[3:])
+        np.multiply(a[1:3], db[1], out=t)
+        m[3:] += t
+        # uniform_filter's two passes, in its order, without its set-up
+        ndimage.uniform_filter1d(m, WINDOW, axis=1, output=m, mode="nearest")
+        ndimage.uniform_filter1d(m, WINDOW, axis=2, output=m, mode="nearest")
+
+        m11, m12, m22, h1, h2 = m
+        det, num = t
+        # det = m11 * m22 - m12 * m12; ok = |det| > eps
+        np.multiply(m11, m22, out=det)
+        np.multiply(m12, m12, out=num)
+        det -= num
+        np.greater(np.abs(det, out=num), eps, out=ok)
         # u = where(ok, (m22 * h1 - m12 * h2) / det, u), likewise v
         for out, ma, hb, hc in ((u, m22, h1, h2), (v, m11, h2, h1)):
-            np.multiply(ma, hb, out=t2)
+            np.multiply(ma, hb, out=num)
             np.multiply(m12, hc, out=du)
-            t2 -= du
-            np.divide(t2, t, out=out, where=ok)
+            num -= du
+            np.divide(num, det, out=out, where=ok)
     return u, v
 
 
@@ -395,18 +392,18 @@ def estimate_flow(prev: list, curr: Frame, levels: list,
     """Backward flow on the current frame's grid (see module docstring).
 
     ``prev`` and ``levels`` are the ``expand`` outputs of the previous
-    frame and of ``curr``, which share one size, and ``scratch`` is the
-    estimator's block for that size. ``FlowEstimator.push`` is the only
-    caller.
+    frame and of ``curr``: ``(5, h, w)`` stacks, fine to coarse, of one
+    size per level. ``scratch`` is the estimator's block for that size.
+    ``FlowEstimator.push`` is the only caller.
     """
     # solve with image1 = current and image2 = previous so the displacement
     # points from the current grid into the previous frame; each level
     # solves in place on a fresh resize of the coarser level's field (of a
     # zero field at the coarsest), so the field returned owns its arrays
-    flow = FlowField.zeros(*levels[-1][0].shape)
+    flow = FlowField.zeros(*levels[-1].shape[1:])
     schedule = ITERATIONS[-len(levels):]
     for cur_l, prev_l, iterations in zip(levels[::-1], prev[::-1], schedule):
-        flow = resize_flow(flow, *cur_l[0].shape)
+        flow = resize_flow(flow, *cur_l.shape[1:])
         flow = FlowField(*_solve_level(cur_l, prev_l, flow.u, flow.v,
                                        scratch, iterations))
     return flow
@@ -437,7 +434,7 @@ class FlowEstimator:
 
     def push(self, frame: Frame) -> FlowField | None:
         shape = (frame.height, frame.width)
-        if self._prev is not None and self._prev[0][0].shape != shape:
+        if self._prev is not None and self._prev[0].shape[1:] != shape:
             raise ValueError("frames must share dimensions")
         scratch = _scratch(shape) if self._scratch is None else self._scratch
         levels = expand(frame, scratch)

@@ -1,3 +1,4 @@
+import importlib
 import os
 import subprocess
 import sys
@@ -535,6 +536,19 @@ class TestBench:
         assert not csv_path.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--frames", "f", "--out", "o"],
+    ["sweep", "--frames", "f", "--gt", "g", "--out", "o"],
+    ["bench", "--frames", "f", "--out", "o"]], ids=["run", "sweep", "bench"])
+def test_scene_and_features_exclusive(argv, capsys):
+    # the features replace the model the scene would build, so a run given
+    # both is refused before anything is read
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--scene", "scene.cfg", "--features", "feats"])
+    assert err.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 # Runs ``mcma.cli.main`` on its arguments in a fresh interpreter, then
 # writes on stderr's last line whether scipy and scipy.ndimage are loaded.
 CHILD = """\
@@ -596,3 +610,24 @@ class TestStartUp:
                                    "--lambda", "1.0", "--flow-scale", "0.5",
                                    "--out", str(tmp_path / "out")]) == (
             True, True)
+
+
+class TestEntryPoint:
+    """The ``mcma`` command that an install makes, and ``python -m``."""
+
+    def test_console_script_names_main(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = os.path.dirname(os.path.dirname(__file__))
+        with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts["mcma"] == "mcma.cli:main"
+        module, name = scripts["mcma"].split(":")
+        assert callable(getattr(importlib.import_module(module), name))
+
+    def test_module_runs_as_a_script(self):
+        src = os.path.dirname(os.path.dirname(mcma.__file__))
+        proc = subprocess.run([sys.executable, "-m", "mcma.cli", "--help"],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: mcma")

@@ -9,7 +9,7 @@ from mcma import (FlowEstimator, FlowField, Frame, SceneObject, SceneSpec,
                   downscale_frame, generate, motion_in_input_pixels,
                   resize_flow, to_grayscale)
 from mcma.flow import (ITERATIONS, POLY_N, POLY_SIGMA, PYRAMID_LEVELS,
-                       _ROW_KERNELS, _SMOOTH, _along, _correlate,
+                       WINDOW, _ROW_KERNELS, _SMOOTH, _along, _correlate,
                        _inverse_metric, _pyramid, _scratch, _solve_level,
                        expand, polynomial_expansion)
 from mcma.resample import bilinear
@@ -226,6 +226,66 @@ class TestSolveSchedule:
         assert v.tobytes() == want[1].tobytes()
 
 
+def solve_oracle(cur, prev, u, v, iterations):
+    """``_solve_level`` one coefficient at a time: five gathers and five
+    box filters (``uniform_filter1d`` along y, then x) per iteration, each
+    step a plain float32 expression on fresh arrays. Returns new (u, v)."""
+    h, w = u.shape
+    a11c, a12c, a22c, b1c, b2c = cur
+    a11p, a12p, a22p, b1p, b2p = (p.ravel() for p in prev)
+    xx = np.arange(w, dtype=np.float32)
+    yy = np.arange(h, dtype=np.float32)[:, None]
+
+    def box(m):
+        m = ndimage.uniform_filter1d(m, WINDOW, axis=0, mode="nearest")
+        return ndimage.uniform_filter1d(m, WINDOW, axis=1, mode="nearest")
+
+    for _ in range(iterations):
+        x = np.clip(np.rint(xx + u), 0, w - 1)
+        y = np.clip(np.rint(yy + v), 0, h - 1)
+        at = y.astype(np.intp) * w + x.astype(np.intp)
+        du, dv = x - xx, y - yy
+        a11 = (a11p[at] + a11c) * 0.5
+        a12 = (a12p[at] + a12c) * 0.5
+        a22 = (a22p[at] + a22c) * 0.5
+        db1 = a11 * du + a12 * dv - (b1p[at] - b1c) * 0.5
+        db2 = a12 * du + a22 * dv - (b2p[at] - b2c) * 0.5
+        m11 = box(a11 * a11 + a12 * a12)
+        m12 = box((a11 + a22) * a12)
+        m22 = box(a12 * a12 + a22 * a22)
+        h1 = box(a11 * db1 + a12 * db2)
+        h2 = box(a12 * db1 + a22 * db2)
+        det = m11 * m22 - m12 * m12
+        ok = np.abs(det) > 1e-9
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = np.where(ok, (m22 * h1 - m12 * h2) / det, u)
+            v = np.where(ok, (m11 * h2 - m12 * h1) / det, v)
+    return u, v
+
+
+class TestSolveLevel:
+    @pytest.mark.parametrize("iterations", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 4), (9, 9), (17, 33),
+                                       (128, 160), (256, 320)],
+                             ids=lambda hw: f"{hw[0]}x{hw[1]}")
+    def test_equals_the_per_plane_solve(self, shape, iterations):
+        # the stacked solve must reproduce the per-coefficient one byte for
+        # byte; the block starts as NaN, so a temporary read before it is
+        # written reaches the flow
+        prev, curr = shifted_pair(*shape, 11, 2, 1)
+        scratch = _scratch(shape)
+        p, c = expand(prev, scratch)[0], expand(curr, scratch)[0]
+        assert p.shape == c.shape == (5, *shape)
+        rng = np.random.default_rng(2)
+        u = rng.normal(0, 2, shape).astype(np.float32)
+        v = rng.normal(0, 2, shape).astype(np.float32)
+        want = solve_oracle(c, p, u, v, iterations)
+        scratch.fill(np.nan)
+        got = _solve_level(c, p, u.copy(), v.copy(), scratch, iterations)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+
 def panning_clip(width, height, frames=6):
     spec = SceneSpec(width=width, height=height, frames=frames, seed=3,
                      texture_amplitude=10, global_velocity=(1.5, 0.5),
@@ -366,6 +426,20 @@ class TestFlowEstimator:
         want = pair_flow(frames[0], frames[1])
         assert got.u.tobytes() == want.u.tobytes()
         assert got.v.tobytes() == want.v.tobytes()
+
+    def test_block_fits_every_small_frame(self):
+        # the solve's temporaries fill 73 of the block's 80 bytes per pixel
+        # at the finest level, and the pyramid's and the expansion's padded
+        # copies must fit beside them on the smallest frames
+        rng = np.random.default_rng(4)
+        for h in range(2, 14):
+            for w in range(2, 14):
+                data = rng.integers(0, 256, (2, h, w, 1), dtype=np.uint8)
+                est = FlowEstimator()
+                est.push(Frame(data[0]))
+                flow = est.push(Frame(data[1], index=1))
+                assert flow.u.shape == flow.v.shape == (h, w)
+                assert np.isfinite(flow.u).all() and np.isfinite(flow.v).all()
 
     def test_serves_the_size_of_its_first_push(self, monkeypatch):
         small = panning_clip(40, 32, frames=2)
